@@ -18,7 +18,6 @@ Shape asserted: LFTJ scales near-linearly in |E| while the binary plans
 scale with the Θ(|E|²/n) wedge count — the ratio widens with size.
 """
 
-import os
 import time
 
 import pytest
@@ -27,9 +26,7 @@ from repro.datasets.graphs import hub_graph, powerlaw_graph
 from repro.engine.baseline_joins import hash_join_query, merge_join_query
 from repro.engine.ir import PredAtom, Var
 from repro.engine.lftj import LeapfrogTrieJoin
-from repro.engine.parallel import ParallelConfig, ParallelLeapfrogTrieJoin
 from repro.engine.planner import build_plan
-from repro.engine.pool import JoinWorkerPool
 from repro.storage.relation import Relation
 
 from conftest import SMOKE, pedantic, sizes
@@ -107,50 +104,6 @@ def test_fig5_powerlaw_hash_join(benchmark, n_nodes):
     pedantic(benchmark, hash_join_query, ATOMS, {"E": relation},
              ["a", "b", "c"])
     benchmark.extra_info["edges"] = n_edges
-
-
-def test_fig5_parallel_vs_serial(benchmark):
-    """Domain-partitioned parallel LFTJ on the largest hub graph:
-    bit-identical rows; serial/parallel wall times land in the JSON
-    artifact (speedup is hardware-dependent — 1 worker on this CI box
-    means none; the partitioning itself is what is asserted here)."""
-    relation, n_edges = graph("hub", HUB_SIZES[-1])
-    pool = JoinWorkerPool()
-    try:
-        cfg = ParallelConfig(force=True, pool=pool)
-
-        def run_parallel():
-            run_stats = {}
-            rows = list(
-                ParallelLeapfrogTrieJoin(
-                    PLAN, {"E": relation}, config=cfg, stats=run_stats
-                ).run()
-            )
-            return rows, run_stats
-
-        run_parallel()  # warm the pool and the marshalled env
-        started = time.perf_counter()
-        serial_rows = list(
-            LeapfrogTrieJoin(PLAN, {"E": relation}, prefer_array=True).run()
-        )
-        serial_time = time.perf_counter() - started
-        started = time.perf_counter()
-        parallel_rows, run_stats = run_parallel()
-        parallel_time = time.perf_counter() - started
-        assert parallel_rows == serial_rows  # bit-identical, order included
-        benchmark.extra_info.update(
-            edges=n_edges,
-            triangles=len(serial_rows),
-            serial_s=serial_time,
-            parallel_s=parallel_time,
-            speedup=serial_time / parallel_time,
-            shards=run_stats.get("shards", 0),
-            workers=pool.max_workers,
-            cpu_count=os.cpu_count(),
-        )
-        pedantic(benchmark, lambda: run_parallel()[0], rounds=1)
-    finally:
-        pool.shutdown()
 
 
 def _backend_times(kind, n_nodes):

@@ -19,6 +19,8 @@ import os
 import platform
 from pathlib import Path
 
+import pytest
+
 from repro import obs
 from repro import stats as engine_stats
 
@@ -29,6 +31,10 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: result-file aliases: module stem (minus ``bench_``) -> BENCH_<name>
 RESULT_ALIASES = {"service_throughput": "service", "net_throughput": "net"}
+
+#: module stem -> (engine counters, histograms, span totals) of that
+#: module's own run, written into its BENCH_<name>.json at session end
+_MODULE_STATS = {}
 
 
 def sizes(full, smoke):
@@ -83,9 +89,18 @@ def _bench_entry(bench):
     }
 
 
-def pytest_sessionstart(session):
+@pytest.fixture(scope="module", autouse=True)
+def _module_stats(request):
+    """Count each benchmark module in its own window: counters,
+    histograms and span totals start from zero when the module starts
+    and are captured when it ends, so no artifact carries another
+    module's counters."""
     engine_stats.reset()
     obs.reset_span_totals()
+    yield
+    _MODULE_STATS[request.path.stem] = (
+        engine_stats.snapshot(), engine_stats.histograms(), obs.span_totals()
+    )
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -97,12 +112,10 @@ def pytest_sessionfinish(session, exitstatus):
         module = Path(bench.fullname.split("::")[0]).stem
         by_module.setdefault(module, []).append(_bench_entry(bench))
     RESULTS_DIR.mkdir(exist_ok=True)
-    counters = engine_stats.snapshot()
-    histograms = engine_stats.histograms()
-    trace = obs.span_totals()
     for module, entries in sorted(by_module.items()):
         name = module[len("bench_"):] if module.startswith("bench_") else module
         name = RESULT_ALIASES.get(name, name)
+        counters, histograms, trace = _MODULE_STATS.get(module, ({}, {}, {}))
         payload = {
             "benchmark": module,
             "smoke": SMOKE,

@@ -2,17 +2,12 @@
 
 from repro.engine.leapfrog import LeapfrogJoin
 from repro.engine.lftj import LeapfrogTrieJoin
-from repro.engine.parallel import ParallelConfig, ParallelLeapfrogTrieJoin
 from repro.engine.plancache import PlanCache
-from repro.engine.pool import JoinWorkerPool
 from repro.engine.sensitivity import SensitivityIndex, SensitivityRecorder
 
 __all__ = [
-    "JoinWorkerPool",
     "LeapfrogJoin",
     "LeapfrogTrieJoin",
-    "ParallelConfig",
-    "ParallelLeapfrogTrieJoin",
     "PlanCache",
     "SensitivityIndex",
     "SensitivityRecorder",

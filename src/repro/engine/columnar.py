@@ -75,7 +75,6 @@ def make_join(
     recorder=None,
     prefer_array=True,
     stats=None,
-    first_key_range=None,
     backend="pure",
 ):
     """Build the best executor for one planned join.
@@ -89,22 +88,11 @@ def make_join(
     if backend == "columnar" and recorder is None and HAVE_NUMPY:
         try:
             return ColumnarTrieJoin(
-                plan,
-                relations,
-                prefer_array=prefer_array,
-                stats=stats,
-                first_key_range=first_key_range,
+                plan, relations, prefer_array=prefer_array, stats=stats
             )
         except ColumnarUnsupported:
             global_stats.bump("join.columnar_fallbacks")
-    return LeapfrogTrieJoin(
-        plan,
-        relations,
-        recorder,
-        prefer_array,
-        stats=stats,
-        first_key_range=first_key_range,
-    )
+    return LeapfrogTrieJoin(plan, relations, recorder, prefer_array, stats=stats)
 
 
 # -- join setup: per (plan, relation versions) columnar tries ----------------
@@ -300,18 +288,6 @@ def _code_of(index, value):
     return code
 
 
-def _first_range_mask(domain, vals, first_key_range):
-    """Level-0 restriction to the half-open ``[lo, hi)`` key range."""
-    low, high = first_key_range
-    mask = None
-    if low is not None:
-        mask = vals >= bisect_left(domain, low)
-    if high is not None:
-        high_mask = vals < bisect_left(domain, high)
-        mask = high_mask if mask is None else mask & high_mask
-    return mask
-
-
 # -- the executor ------------------------------------------------------------
 
 
@@ -331,7 +307,6 @@ class ColumnarTrieJoin:
         recorder=None,
         prefer_array=True,
         stats=None,
-        first_key_range=None,
     ):
         if recorder is not None:
             raise ColumnarUnsupported("sensitivity recording is a pure-path run")
@@ -339,7 +314,6 @@ class ColumnarTrieJoin:
         self.relations = relations
         self.prefer_array = prefer_array
         self.stats = stats
-        self.first_key_range = first_key_range
         self._setup = _setup_for(plan, relations)
 
     # -- counters ---------------------------------------------------------
@@ -495,25 +469,6 @@ class ColumnarTrieJoin:
                     cand[atom_index] = pos
                     keep = ok if keep is None else keep & ok
                 column = ("code", vals)
-            if level == 0 and self.first_key_range is not None:
-                if column[0] == "code":
-                    mask = _first_range_mask(
-                        setup.domains[0], column[1], self.first_key_range
-                    )
-                else:  # raw assign values: compare directly, like pure
-                    low, high = self.first_key_range
-                    mask = None
-                    if low is not None:
-                        mask = np.fromiter(
-                            (not v < low for v in column[1]), bool, frontier
-                        )
-                    if high is not None:
-                        high_mask = np.fromiter(
-                            (v < high for v in column[1]), bool, frontier
-                        )
-                        mask = high_mask if mask is None else mask & high_mask
-                if mask is not None:
-                    keep = mask if keep is None else keep & mask
             if keep is not None and not keep.all():
                 rows = rows[keep]
                 column = (column[0], column[1][keep])
@@ -659,11 +614,6 @@ def _emit_level(lines, plan, level, alive):
             lines.append(inner + "self._count_batch(_t.size)")
             lines.append(inner + "c{oi} = _p".format(oi=other_index))
             lines.append(inner + "keep = _ok if keep is None else keep & _ok")
-    if level == 0:
-        put("if frange is not None:")
-        put("    _m = _first_range_mask(setup.domains[0], vals, frange)")
-        put("    if _m is not None:")
-        put("        keep = _m if keep is None else keep & _m")
     put("if keep is not None and not keep.all():")
     put("    rows = rows[keep]; vals = vals[keep]")
     for atom_index, _ in parts:
@@ -694,7 +644,6 @@ def _gen_source(plan):
     lines = [
         "def _specialized(self):",
         "    setup = self._setup",
-        "    frange = self.first_key_range",
     ]
     for atom_index in range(n_atoms):
         lines.append("    A{ai} = setup.atoms[{ai}]".format(ai=atom_index))
@@ -738,7 +687,6 @@ def _specialized_for(plan):
         namespace = {
             "np": np,
             "_range_concat": _range_concat,
-            "_first_range_mask": _first_range_mask,
         }
         exec(compile(source, "<columnar-join:{}>".format(
             plan.atom_plans[0].pred if plan.atom_plans else "?"), "exec"),

@@ -14,7 +14,6 @@ their evaluation state with them at O(1) branch cost.
 """
 
 from repro import obs
-from repro import stats as global_stats
 from repro.ds.pmap import PMap
 from repro.engine.aggregates import AGGREGATES, agg_add
 from repro.engine.columnar import ColumnarTrieJoin, make_join, resolve_backend
@@ -125,11 +124,7 @@ class Evaluator:
 
     ``plan_cache`` (a :class:`~repro.engine.plancache.PlanCache`) makes
     compiled plans survive this evaluator — the workspace threads one
-    cache through every evaluator it creates.  ``parallel`` (a
-    :class:`~repro.engine.parallel.ParallelConfig`) routes large joins
-    through the domain-partitioned executor and, when its
-    ``dispatch_rules`` flag is set, fans independent rules of a
-    non-recursive stratum out to the same worker pool.
+    cache through every evaluator it creates.
 
     ``backend`` selects the join executor: ``"pure"`` (the per-tuple
     iterator oracle) or ``"columnar"`` (vectorized over
@@ -145,14 +140,12 @@ class Evaluator:
         order_chooser=None,
         prefer_array=True,
         plan_cache=None,
-        parallel=None,
         backend=None,
     ):
         self.ruleset = ruleset
         self.order_chooser = order_chooser
         self.prefer_array = prefer_array
         self.plan_cache = plan_cache
-        self.parallel = parallel
         self.backend = resolve_backend(backend)
 
     def _order_for(self, rule, relations):
@@ -165,47 +158,25 @@ class Evaluator:
             return self.plan_cache.plan_for(rule, var_order)
         return rule.plan(var_order)
 
-    def _cost_hint(self, rule, relations):
-        hint = getattr(self.order_chooser, "cost_hint", None)
-        if hint is None:
-            return None
-        return hint(rule, relations)
-
     def rule_bindings(self, rule, relations, recorder=None, prefer_array=None):
         """Iterate satisfying assignments of ``rule``'s body.
 
         Returns ``(var_order, iterator)``.  When tracing is active the
         iterator is wrapped in a ``join`` span carrying the execution's
-        seek/next/open counts and shard fan-out; with tracing off the
-        executor runs with ``stats=None`` and counts nothing.
+        seek/next/open counts; with tracing off the executor runs with
+        ``stats=None`` and counts nothing.
         """
         var_order = self._order_for(rule, relations)
         plan = self._plan_for(rule, var_order)
         prefer = self.prefer_array if prefer_array is None else prefer_array
         traced = obs.tracing()
         exec_stats = {} if traced else None
-        if self.parallel is not None:
-            from repro.engine.parallel import ParallelLeapfrogTrieJoin
-
-            executor = ParallelLeapfrogTrieJoin(
-                plan,
-                relations,
-                config=self.parallel,
-                recorder=recorder,
-                prefer_array=prefer,
-                stats=exec_stats,
-                cost_hint=self._cost_hint(rule, relations),
-                backend=self.backend,
-            )
-            bump_prefix = None  # the parallel executor bumps join.* itself
-            exec_stats = executor.stats
+        executor = make_join(plan, relations, recorder, prefer,
+                             stats=exec_stats, backend=self.backend)
+        if isinstance(executor, ColumnarTrieJoin):
+            bump_prefix = None  # the columnar executor bumps join.* itself
         else:
-            executor = make_join(plan, relations, recorder, prefer,
-                                 stats=exec_stats, backend=self.backend)
-            if isinstance(executor, ColumnarTrieJoin):
-                bump_prefix = None  # the columnar executor bumps join.* itself
-            else:
-                bump_prefix = "join."
+            bump_prefix = "join."
         run = executor.run()
         if traced:
             run = obs.traced_bindings(
@@ -257,52 +228,18 @@ class Evaluator:
                         self._evaluate_nonrecursive(pred, relations, states, chooser)
         return relations, states
 
-    def _dispatch_rules(self, group, relations, chooser):
-        """Fan independent rules out to the worker pool as whole-join
-        tasks; returns merged head counts, or ``None`` when dispatch is
-        unavailable (no pool, sensitivity recording, missing inputs)."""
-        parallel = self.parallel
-        if parallel is None or not parallel.dispatch_rules or len(group) < 2:
-            return None
-        if any(chooser(rule) is not None for rule in group):
-            return None
-        jobs = []
-        for rule in group:
-            var_order = self._order_for(rule, relations)
-            plan = self._plan_for(rule, var_order)
-            if any(pred not in relations for pred in plan.body_preds()):
-                return None
-            projector = _HeadProjector(rule, plan.var_order)
-            jobs.append(
-                parallel.pool.submit_join(
-                    plan, relations, prefer_array=self.prefer_array,
-                    projector=projector, backend=self.backend,
-                )
-            )
-        global_stats.bump("join.rule_dispatches", len(jobs))
-        with obs.span("join.dispatch", rules=len(jobs), pred=group[0].head_pred):
-            counts = {}
-            for job in jobs:
-                heads, _, worker_counters = job.result()
-                global_stats.merge(worker_counters)
-                for head in heads:
-                    counts[head] = counts.get(head, 0) + 1
-        return counts
-
     def _evaluate_nonrecursive(self, pred, relations, states, chooser):
         group = self.ruleset.rules_by_head[pred]
         if group[0].agg is not None:
             self._evaluate_aggregate(pred, group[0], relations, states, chooser)
             return
-        counts = self._dispatch_rules(group, relations, chooser)
-        if counts is None:
-            counts = {}
-            for rule in group:
-                var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
-                project = _HeadProjector(rule, var_order)
-                for binding in bindings:
-                    head = project(binding)
-                    counts[head] = counts.get(head, 0) + 1
+        counts = {}
+        for rule in group:
+            var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
+            project = _HeadProjector(rule, var_order)
+            for binding in bindings:
+                head = project(binding)
+                counts[head] = counts.get(head, 0) + 1
         relation = Relation.from_iter(self.ruleset.head_arity(pred), counts)
         _check_functional(pred, group[0], relation)
         relations[pred] = relation

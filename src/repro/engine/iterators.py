@@ -256,22 +256,6 @@ class RangeIterator:
             self._current = value
 
 
-def level_keys(relation, perm, fixed_prefix=(), prefer_array=False):
-    """Distinct first-level values of ``relation`` permuted by ``perm``
-    under ``fixed_prefix`` — the key domain the outermost unary leapfrog
-    iterates.  Parallel LFTJ seeds its shard boundaries from this list.
-    """
-    it = trie_iterator(relation, perm, fixed_prefix, prefer_array)
-    if fixed_prefix and not it.check_fixed_prefix():
-        return []
-    keys = []
-    it.open()
-    while not it.at_end():
-        keys.append(it.key())
-        it.next()
-    return keys
-
-
 def trie_iterator(relation, perm, fixed_prefix=(), prefer_array=False):
     """Build the best trie iterator for ``relation`` permuted by ``perm``.
 

@@ -67,12 +67,11 @@ class IncrementalEngine:
     """Materializes a rule set and maintains it under base-data deltas."""
 
     def __init__(self, ruleset, *, track_sensitivity=True, plan_cache=None,
-                 parallel=None, backend=None):
+                 backend=None):
         self.ruleset = ruleset
         self.track_sensitivity = track_sensitivity
         self.evaluator = Evaluator(
-            ruleset, prefer_array=True, plan_cache=plan_cache, parallel=parallel,
-            backend=backend,
+            ruleset, prefer_array=True, plan_cache=plan_cache, backend=backend,
         )
         # delta passes stay columnar-capable too: recorder-carrying rule
         # joins fall back to the pure executor per join inside make_join

@@ -204,7 +204,6 @@ class SamplingOptimizer:
         self.seed = seed
         self._cache = {}
         self._sample_cache = {}
-        self._cost_cache = {}  # version key -> estimated steps of chosen order
         self._prefix_cache = {}  # (pred, version, columns) -> distinct count
 
     def _version_key(self, rule, relations):
@@ -255,8 +254,6 @@ class SamplingOptimizer:
                 best_cost = cost
                 best_order = order
         self._cache[key] = best_order
-        if best_cost is not None:
-            self._cost_cache[key] = self._scaled_steps(rule, relations, best_cost[0])
         return best_order
 
     def _scaled_steps(self, rule, relations, sampled_steps):
@@ -271,14 +268,6 @@ class SamplingOptimizer:
             if size > self.sample_size:
                 ratio = max(ratio, size / float(self.sample_size))
         return int(sampled_steps * ratio)
-
-    def cost_hint(self, rule, relations):
-        """Estimated full-input LFTJ steps for ``rule`` (or ``None``).
-
-        The parallel executor compares this against its serial-fallback
-        threshold, so sharding only pays for joins the sampler already
-        measured as expensive."""
-        return self._cost_cache.get(self._version_key(rule, relations))
 
     def explain_rule(self, rule, relations):
         """The optimizer's prediction for ``rule`` on these inputs.

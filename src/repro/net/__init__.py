@@ -30,7 +30,7 @@ The network layer has five pieces, one module each:
   enforced from the watermark stamps.
 """
 
-from repro.net.client import NetSession, connect
+from repro.net.client import NetSession
 from repro.net.cluster import ClusterSession
 from repro.net.protocol import (
     DEFAULT_PORT,
@@ -58,5 +58,4 @@ __all__ = [
     "ReplicaReadOnly",
     "ReproServer",
     "StaleRead",
-    "connect",
 ]

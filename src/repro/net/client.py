@@ -541,23 +541,3 @@ class NetSession:
         return "NetSession({}:{}, {}, {})".format(
             self.host, self.port, self.name,
             "closed" if self._closed else "open")
-
-
-def connect(host="127.0.0.1", port=DEFAULT_PORT, *, name=None, timeout=None,
-            **kwargs):
-    """Deprecated: use ``repro.connect("tcp://host:port")``.
-
-    One entry point now spans every transport — a workspace path, a
-    single ``tcp://`` server, or a ``cluster://`` fleet — with the
-    ``consistency`` keyword honored by all of them.  This shim keeps
-    the old two-argument form working and returns the same
-    :class:`NetSession`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.net.connect(host, port) is deprecated; use "
-        "repro.connect('tcp://{}:{}') — one entry point for local, "
-        "tcp, and cluster transports".format(host, port),
-        DeprecationWarning, stacklevel=2)
-    return NetSession(host, port, name=name, timeout=timeout, **kwargs)

@@ -64,7 +64,6 @@ runs a standalone serving replica until SIGTERM.
 
 import threading
 import time
-import warnings
 
 from repro import stats as _stats
 from repro import obs as _obs
@@ -239,7 +238,7 @@ class Replica:
 
     # -- following (watch-driven, with failover) -------------------------------
 
-    def follow(self, poll_s=None, *, heartbeat_s=5.0, leader_timeout_s=10.0):
+    def follow(self, *, heartbeat_s=5.0, leader_timeout_s=10.0):
         """Start the follower thread.
 
         One blocked ``watch`` round-trip on the leader is both change
@@ -258,19 +257,8 @@ class Replica:
         its first write): the follower starts anyway and picks up
         checkpoint 1 when it lands.  Leaders that predate the ``watch``
         verb are followed by fixed-interval polling as before.
-
-        ``poll_s`` is deprecated: the follower is notification-driven
-        now, so the knob only sets the heartbeat period (and the legacy
-        polling interval against an old leader).
         """
         self._check_open()
-        if poll_s is not None:
-            warnings.warn(
-                "Replica.follow(poll_s=...) is deprecated: following is "
-                "watch-driven (leader notify + heartbeat), not polled; "
-                "use heartbeat_s to tune the heartbeat period",
-                DeprecationWarning, stacklevel=2)
-            heartbeat_s = float(poll_s)
         if self._poller is not None:
             return
         try:

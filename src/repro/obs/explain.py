@@ -104,9 +104,9 @@ def maybe_record_slow(kind, name, latency_s, *, counters=None, span=None):
 
 def _actual_steps(span_):
     """The executor movement count recorded on one ``join`` span,
-    across backends (serial folds exec stats into attrs and bumps
-    ``join.*`` into the span's counter sink; parallel and columnar bump
-    ``join.*`` themselves, which the sink also captures)."""
+    across backends (pure LFTJ folds exec stats into attrs and bumps
+    ``join.*`` into the span's counter sink; columnar bumps ``join.*``
+    itself, which the sink also captures)."""
     counters = span_.counters
     steps = counters.get("join.steps") or span_.attrs.get("steps")
     if steps:
@@ -184,7 +184,7 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def explain_query(state, source, answer=None, *, parallel=None, backend=None,
+def explain_query(state, source, answer=None, *, backend=None,
                   sample_size=256, max_candidates=24):
     """Run ``source`` as a query with the sampling optimizer engaged
     and return an :class:`ExplainReport` pairing the optimizer's
@@ -220,7 +220,6 @@ def explain_query(state, source, answer=None, *, parallel=None, backend=None,
         order_chooser=optimizer,
         prefer_array=False,
         plan_cache=None,
-        parallel=parallel,
         backend=backend,
     )
     with _core.Profile() as prof:

@@ -17,25 +17,9 @@ returns one :class:`TxnResult` carrying:
 * ``block`` — the block name for ``addblock``/``removeblock``;
 * ``attempts`` / ``repairs`` — service-path scheduling metadata (how
   many executions were needed, how many repair merges were absorbed).
-
-Deprecation shims (one release): before this redesign each verb had an
-ad-hoc shape — ``exec``/``load`` returned the raw delta dict and
-``addblock`` returned the block-name string.  A :class:`TxnResult`
-still *behaves* like those shapes (mapping protocol over ``deltas``,
-string equality against ``block``) but each legacy use emits a
-:class:`DeprecationWarning` pointing at the structured field.
 """
 
-import warnings
 from dataclasses import dataclass, field
-
-
-def _warn_legacy(what, instead):
-    warnings.warn(
-        "{} is deprecated; use {} instead".format(what, instead),
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(eq=False)
@@ -78,69 +62,6 @@ class TxnResult:
             "repairs": self.repairs,
             "latency_s": self.latency_s,
         }
-
-    # -- legacy delta-dict shape (exec/load used to return {pred: Delta}) -----
-
-    def __getitem__(self, key):
-        _warn_legacy("indexing a TxnResult like the old delta dict",
-                     "result.deltas[pred]")
-        return self.deltas[key]
-
-    def __iter__(self):
-        _warn_legacy("iterating a TxnResult like the old delta dict",
-                     "result.deltas")
-        return iter(self.deltas)
-
-    def __len__(self):
-        _warn_legacy("len() on a TxnResult (old delta-dict shape)",
-                     "len(result.deltas)")
-        return len(self.deltas)
-
-    def __contains__(self, key):
-        _warn_legacy("'in' on a TxnResult (old delta-dict shape)",
-                     "key in result.deltas")
-        return key in self.deltas
-
-    def keys(self):
-        _warn_legacy("TxnResult.keys() (old delta-dict shape)",
-                     "result.deltas.keys()")
-        return self.deltas.keys()
-
-    def values(self):
-        _warn_legacy("TxnResult.values() (old delta-dict shape)",
-                     "result.deltas.values()")
-        return self.deltas.values()
-
-    def items(self):
-        _warn_legacy("TxnResult.items() (old delta-dict shape)",
-                     "result.deltas.items()")
-        return self.deltas.items()
-
-    def get(self, key, default=None):
-        _warn_legacy("TxnResult.get() (old delta-dict shape)",
-                     "result.deltas.get(key)")
-        return self.deltas.get(key, default)
-
-    # -- legacy block-name shape (addblock used to return the name str) -------
-
-    def __eq__(self, other):
-        if isinstance(other, str) and self.block is not None:
-            _warn_legacy("comparing a TxnResult to the block-name string",
-                         "result.block")
-            return self.block == other
-        if isinstance(other, TxnResult):
-            return self is other
-        return NotImplemented
-
-    def __hash__(self):
-        return object.__hash__(self)
-
-    def __str__(self):
-        # removeblock(ws.addblock(...)) and "block {}".format(...) both
-        # stringify; give them the name rather than the repr
-        if self.block is not None and self.kind in ("addblock", "removeblock"):
-            return self.block
-        return repr(self)
 
     def __repr__(self):
         bits = ["status={!r}".format(self.status), "kind={!r}".format(self.kind)]

@@ -38,13 +38,13 @@ def _base_name(name):
 class ProgramArtifacts:
     """Compiled program: combined rules, engines, checkers, metadata.
 
-    ``plan_cache`` / ``parallel`` / ``engine_backend`` are forwarded to
+    ``plan_cache`` / ``engine_backend`` are forwarded to
     the incremental engine's evaluators; the workspace supplies one plan
     cache for all artifact generations so compiled plans survive
     program edits.
     """
 
-    def __init__(self, blocks, plan_cache=None, parallel=None, engine_backend=None):
+    def __init__(self, blocks, plan_cache=None, engine_backend=None):
         self.blocks = blocks  # PMap name -> CompiledBlock
         self.rules = []
         self.reactive_rules = []
@@ -87,8 +87,7 @@ class ProgramArtifacts:
         self.plan_cache = plan_cache
         self.engine_backend = engine_backend
         self.engine = IncrementalEngine(
-            self.ruleset, plan_cache=plan_cache, parallel=parallel,
-            backend=engine_backend,
+            self.ruleset, plan_cache=plan_cache, backend=engine_backend,
         )
         self.reactive_ruleset = (
             RuleSet(self.reactive_rules) if self.reactive_rules else None
@@ -183,11 +182,11 @@ class WorkspaceState:
         self.meta_state = meta_state
 
     @classmethod
-    def empty(cls, plan_cache=None, parallel=None, engine_backend=None):
+    def empty(cls, plan_cache=None, engine_backend=None):
         """The initial, empty workspace state."""
         from repro.meta.metaengine import MetaEngine
 
-        artifacts = ProgramArtifacts(PMap.EMPTY, plan_cache, parallel, engine_backend)
+        artifacts = ProgramArtifacts(PMap.EMPTY, plan_cache, engine_backend)
         mat = artifacts.engine.initialize({})
         return cls(artifacts, PMap.EMPTY, mat, MetaEngine().initial())
 

@@ -36,8 +36,7 @@ from repro.storage.relation import Delta, Relation
 _block_counter = itertools.count(1)
 
 
-def evaluate_query(state, source, answer=None, *, plan_cache=None, parallel=None,
-                   backend=None):
+def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None):
     """Evaluate a query program against one pinned workspace state.
 
     Shared by :meth:`Workspace.query` (which evaluates at the branch
@@ -60,7 +59,6 @@ def evaluate_query(state, source, answer=None, *, plan_cache=None, parallel=None
         ruleset,
         prefer_array=False,
         plan_cache=plan_cache,
-        parallel=parallel,
         backend=backend,
     ).evaluate(env)
     if answer is None:
@@ -108,9 +106,7 @@ class _TxnWindow:
 class Workspace:
     """A versioned LogiQL workspace with named branches.
 
-    ``parallel`` (a :class:`~repro.engine.parallel.ParallelConfig`)
-    routes large joins through the domain-partitioned executor.  One
-    :class:`~repro.engine.plancache.PlanCache` is owned per workspace
+    One :class:`~repro.engine.plancache.PlanCache` is owned per workspace
     and threaded through every evaluator, so compiled plans survive
     transactions, IVM passes, and program edits.
 
@@ -120,15 +116,14 @@ class Workspace:
     ``REPRO_ENGINE`` environment override, defaulting to pure.
     """
 
-    def __init__(self, *, parallel=None, engine=None):
+    def __init__(self, *, engine=None):
         from repro.engine.columnar import resolve_backend
         from repro.engine.plancache import PlanCache
 
         self._plan_cache = PlanCache()
-        self._parallel = parallel
         self._engine_backend = resolve_backend(engine)
         self._graph = VersionGraph(
-            WorkspaceState.empty(self._plan_cache, parallel, self._engine_backend)
+            WorkspaceState.empty(self._plan_cache, self._engine_backend)
         )
         self.branch = "main"
         self._meta_engine = MetaEngine()
@@ -197,7 +192,7 @@ class Workspace:
                 self, fault_fire=fault_fire, watermark=watermark)
 
     @classmethod
-    def open(cls, path, *, parallel=None, engine=None):
+    def open(cls, path, *, engine=None):
         """Reconstruct a workspace from the checkpoint at ``path``.
 
         Bit-identical restore: relation contents, support counts,
@@ -207,7 +202,7 @@ class Workspace:
         """
         from repro.storage.pager import CheckpointStore
 
-        workspace = cls(parallel=parallel, engine=engine)
+        workspace = cls(engine=engine)
         pager = CheckpointStore(path)
         with _stats.scope(workspace._counters):
             pager.restore_into(workspace)
@@ -263,8 +258,6 @@ class Workspace:
 
     def removeblock(self, name):
         """Remove a block, restoring the workspace program without it."""
-        if isinstance(name, TxnResult):
-            name = name.block
         with self._txn("removeblock", block=name) as window:
             state = self.state
             old_block = state.artifacts.blocks.get(name)
@@ -307,8 +300,8 @@ class Workspace:
         workspace's transactions* since creation (or the last
         :meth:`reset_engine_stats`): plan-cache hits/misses, warm vs.
         cold relation indexes and arrays, join seek/next movement,
-        parallel fan-out, IVM work, and pool activity.  Benchmarks
-        export these next to wall times so speedups are attributable.
+        columnar activity, and IVM work.  Benchmarks export these next
+        to wall times so speedups are attributable.
 
         Counters bumped by other workspaces — even concurrently on
         other threads — do not appear here; each workspace's
@@ -320,8 +313,6 @@ class Workspace:
             if value - baseline.get(key, 0)
         }
         counters["plan_cache"] = self._plan_cache.stats_snapshot()
-        if self._parallel is not None:
-            counters["pool"] = self._parallel.pool.stats_snapshot()
         counters["columnar"] = {
             "backend": self._engine_backend,
             "joins": counters.get("join.columnar_joins", 0),
@@ -365,13 +356,12 @@ class Workspace:
             self.state,
             source,
             answer,
-            parallel=self._parallel,
             backend=self._engine_backend,
         )
 
     def _rebuild(self, state, new_blocks, block_name, block):
         artifacts = ProgramArtifacts(
-            new_blocks, self._plan_cache, self._parallel, self._engine_backend
+            new_blocks, self._plan_cache, self._engine_backend
         )
         old_artifacts = state.artifacts
 
@@ -639,7 +629,6 @@ class Workspace:
                 source,
                 answer,
                 plan_cache=self._plan_cache,
-                parallel=self._parallel,
                 backend=self._engine_backend,
             )
             if window.span is not None:

@@ -386,7 +386,6 @@ class TransactionService:
                     source,
                     answer,
                     plan_cache=self.workspace._plan_cache,
-                    parallel=self.workspace._parallel,
                 )
             if span_ is not None:
                 span_.attrs["rows"] = len(rows)
@@ -1186,7 +1185,6 @@ class TransactionService:
             state,
             source,
             answer,
-            parallel=self.workspace._parallel,
             backend=self.workspace._engine_backend,
         )
 

@@ -275,8 +275,6 @@ class ShardedWorkspace:
     def removeblock(self, name, *, timeout=None):
         """Remove a block from every shard."""
         self._check_open()
-        if isinstance(name, TxnResult):
-            name = name.block
         if name not in self._blocks:
             raise KeyError("no such block: {}".format(name))
         with _obs.span("shard.removeblock", block=name):

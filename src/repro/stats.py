@@ -2,8 +2,8 @@
 
 The paper's performance claims (§3.2) are only reproducible if the
 engine can report *why* it is fast: how often plans and indexes were
-reused instead of rebuilt, how many joins ran sharded, how much work
-the pool absorbed.  This module is the single sink those layers bump —
+reused instead of rebuilt, how many joins ran vectorized, how much
+work each join did.  This module is the single sink those layers bump —
 storage must not import the engine, so the counters live above both.
 
 Three primitives:
@@ -67,18 +67,6 @@ def bump(key, amount=1):
             sink[key] = sink.get(key, 0) + amount
     with _lock:
         _counters[key] = _counters.get(key, 0) + amount
-
-
-def merge(counters):
-    """Bump a whole dict of counter deltas at once.
-
-    Used to fold a worker process's counter envelope back into the
-    parent: the increments flow through :func:`bump`, so active scopes
-    (workspace windows, tracing spans) see the workers' activity too.
-    """
-    for key, amount in counters.items():
-        if amount:
-            bump(key, amount)
 
 
 def get(key):

@@ -701,8 +701,7 @@ class CheckpointStore:
         _stats.bump("pager.nodes_read")
         return node
 
-    def _restore_state(self, record, plan_cache, parallel, caches,
-                       engine_backend=None):
+    def _restore_state(self, record, plan_cache, caches, engine_backend=None):
         from repro.engine.evaluator import PredicateState
         from repro.engine.ivm import Materialization
         from repro.logiql.compiler import compile_program
@@ -722,8 +721,7 @@ class CheckpointStore:
                     for name, source in record["blocks"].items()
                 }
             )
-            artifacts = ProgramArtifacts(blocks, plan_cache, parallel,
-                                         engine_backend)
+            artifacts = ProgramArtifacts(blocks, plan_cache, engine_backend)
             artifact_cache[blocks_key] = artifacts
 
         def load_relation(ref):
@@ -797,7 +795,7 @@ class CheckpointStore:
             caches = ({}, {}, {})
             states = {
                 int(vid): self._restore_state(
-                    record, workspace._plan_cache, workspace._parallel, caches,
+                    record, workspace._plan_cache, caches,
                     workspace._engine_backend,
                 )
                 for vid, record in manifest["states"].items()

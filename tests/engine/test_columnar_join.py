@@ -28,8 +28,7 @@ def codegen_mode(request, monkeypatch):
     return request.param
 
 
-def both_runs(atoms, relations, var_order=None, output_vars=(),
-              first_key_range=None):
+def both_runs(atoms, relations, var_order=None, output_vars=()):
     """Rows from the pure and the columnar executor for one plan.
 
     Relations are rebuilt per executor so neither backend sees the
@@ -46,12 +45,8 @@ def both_runs(atoms, relations, var_order=None, output_vars=(),
             for name, rel in relations.items()
         }
 
-    pure_rows = list(
-        LeapfrogTrieJoin(plan, fresh(), first_key_range=first_key_range).run()
-    )
-    col = make_join(
-        plan, fresh(), backend="columnar", first_key_range=first_key_range
-    )
+    pure_rows = list(LeapfrogTrieJoin(plan, fresh()).run())
+    col = make_join(plan, fresh(), backend="columnar")
     assert isinstance(col, ColumnarTrieJoin)
     return pure_rows, list(col.run())
 
@@ -156,22 +151,6 @@ class TestEquivalence:
         ]
         pure, col = both_runs(atoms, env, output_vars=("a", "b"))
         assert pure == col == []
-
-    def test_first_key_range_shards_partition_the_result(self, codegen_mode):
-        env = {"E": Relation.from_iter(2, random_edges(29, 90, 12))}
-        full_pure, full_col = both_runs(
-            TRIANGLE, env, output_vars=("a", "b", "c")
-        )
-        assert full_pure == full_col
-        sharded = []
-        for key_range in ((None, 4), (4, 8), (8, None)):
-            pure, col = both_runs(
-                TRIANGLE, env, output_vars=("a", "b", "c"),
-                first_key_range=key_range,
-            )
-            assert pure == col
-            sharded.extend(col)
-        assert sorted(sharded) == sorted(full_col)
 
 
 class TestCodegen:

@@ -5,7 +5,6 @@ the :class:`TxnResult` field set, and the error taxonomy, so accidental
 surface changes fail loudly instead of breaking clients."""
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -131,27 +130,20 @@ class TestTxnResult:
         # plain query still returns bare rows
         assert sorted(ws.query("_(x) <- p(x).")) == [(1,), (2,)]
 
-    def test_legacy_dict_shape_warns(self):
+    def test_old_delta_dict_shape_is_gone(self):
         ws = Workspace()
         ws.addblock("p(x) -> int(x).", name="b1")
         result = ws.exec("+p(1).")
-        with pytest.warns(DeprecationWarning):
-            assert "p" in result
-        with pytest.warns(DeprecationWarning):
-            assert len(result) == 1
-        with pytest.warns(DeprecationWarning):
-            assert list(result) == ["p"]
-        with pytest.warns(DeprecationWarning):
-            assert result["p"] is result.deltas["p"]
+        with pytest.raises(TypeError):
+            "p" in result
+        with pytest.raises(TypeError):
+            result["p"]
 
-    def test_legacy_block_name_shape_warns(self):
+    def test_old_block_name_shape_is_gone(self):
         ws = Workspace()
         added = ws.addblock("p(x) -> int(x).", name="b7")
-        with pytest.warns(DeprecationWarning):
-            assert added == "b7"
-        assert str(added) == "b7"
-        # removeblock still accepts the result object (old name-string flow)
-        removed = ws.removeblock(added)
+        assert (added == "b7") is False
+        removed = ws.removeblock(added.block)
         assert removed.kind == "removeblock" and removed.block == "b7"
 
     def test_to_dict(self):
@@ -189,7 +181,6 @@ class TestNetSessionSurface:
             "ReplicaReadOnly",
             "ReproServer",
             "StaleRead",
-            "connect",
         }
         for name in net.__all__:
             assert getattr(net, name) is not None
@@ -324,27 +315,28 @@ class TestUnifiedConnect:
         with pytest.raises(ValueError):
             repro.connect("cluster://127.0.0.1:7411", consistency="nope")
 
-    def test_old_net_connect_still_works_but_warns(self):
+    def test_old_net_connect_is_gone(self):
         import repro.net
-        from repro.net import NetSession
-        from repro.service import TransactionService
 
-        service = TransactionService()
-        server = service.serve()
-        try:
-            with pytest.warns(DeprecationWarning, match="repro.connect"):
-                session = repro.net.connect(server.host, server.port)
-            assert isinstance(session, NetSession)
-            session.close()
-        finally:
-            server.stop()
-            service.close()
+        assert not hasattr(repro.net, "connect")
 
 
 class TestKeywordOnlyConstructors:
     def test_workspace_flags_are_keyword_only(self):
         with pytest.raises(TypeError):
             Workspace(True)
+
+    def test_removed_options_are_rejected(self, tmp_path):
+        from repro.net import Replica
+
+        with pytest.raises(TypeError):
+            Workspace(parallel=object())
+        replica = Replica(path=str(tmp_path / "replica"))
+        try:
+            with pytest.raises(TypeError):
+                replica.follow(poll_s=1)
+        finally:
+            replica.close()
 
     def test_evaluator_flags_are_keyword_only(self):
         from repro.engine.evaluator import Evaluator, RuleSet
