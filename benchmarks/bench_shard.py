@@ -12,9 +12,11 @@ One artifact, ``BENCH_shard.json``:
   bench_fleet convention): each shard's op rate is measured by driving
   only the keys it owns — through the coordinator, so routing and
   classification costs are charged — and the rates are added, which is
-  what N cores give an N-shard fleet.  Each shard also carries only
-  ~1/N of the rows, so per-op work drops with fleet size exactly as
-  §3.2's domain partitioning promises.  On a >= 4-core box the real
+  what N cores give an N-shard fleet.  Each shard carries only ~1/N
+  of the rows, but with delta-driven constraint checks a one-row op no
+  longer costs work in proportion to its shard's rows, so the estimate
+  is about N times the single-shard rate rather than more.  On a
+  >= 4-core box the real
   concurrent aggregate is measured too (three threads, each its own
   coordinator over the shared shard services).  The gate asserts the
   3-shard fleet sustains >= 2x the single-shard baseline.

@@ -18,7 +18,7 @@ This module exposes the raw node-level algebra.  User code should go
 through :class:`repro.ds.pmap.PMap` and :class:`repro.ds.pset.PSet`.
 """
 
-from repro.ds.hashing import combine_hashes, stable_hash
+from repro.ds.hashing import combine_hashes, splitmix64, stable_hash
 
 
 class _Missing:
@@ -38,24 +38,32 @@ _EMPTY_HASH = 0x9E3779B97F4A7C15
 class Node:
     """One immutable treap node; ``None`` is the empty treap."""
 
-    __slots__ = ("key", "value", "prio", "left", "right", "size", "h")
+    __slots__ = ("key", "value", "prio", "left", "right", "size", "kv", "h")
 
-    def __init__(self, key, value, prio, left, right):
+    def __init__(self, key, value, prio, left, right, kv=None):
         self.key = key
         self.value = value
         self.prio = prio
         self.left = left
         self.right = right
         self.size = 1 + size(left) + size(right)
-        self.h = combine_hashes(
-            stable_hash(key),
-            stable_hash(value),
-            left.h if left is not None else _EMPTY_HASH,
-            right.h if right is not None else _EMPTY_HASH,
+        # the hash chain's key/value prefix: a copy with new children
+        # (every path-copying update) passes it on instead of rehashing
+        if kv is None:
+            kv = combine_hashes(stable_hash(key), stable_hash(value))
+        self.kv = kv
+        self.h = splitmix64(
+            splitmix64(kv ^ (left.h if left is not None else _EMPTY_HASH))
+            ^ (right.h if right is not None else _EMPTY_HASH)
         )
 
     def __repr__(self):
         return "Node({!r}, {!r}, size={})".format(self.key, self.value, self.size)
+
+
+def _with_children(node, left, right):
+    """``node``'s key, value and priority over new children."""
+    return Node(node.key, node.value, node.prio, left, right, node.kv)
 
 
 def make(key, value, left, right):
@@ -108,10 +116,10 @@ def split(node, key):
         return None, None, None
     if key < node.key:
         left, found, rest = split(node.left, key)
-        return left, found, Node(node.key, node.value, node.prio, rest, node.right)
+        return left, found, _with_children(node, rest, node.right)
     if node.key < key:
         rest, found, right = split(node.right, key)
-        return Node(node.key, node.value, node.prio, node.left, rest), found, right
+        return _with_children(node, node.left, rest), found, right
     return node.left, node, node.right
 
 
@@ -122,8 +130,8 @@ def merge(left, right):
     if right is None:
         return left
     if _wins(left, right):
-        return Node(left.key, left.value, left.prio, left.left, merge(left.right, right))
-    return Node(right.key, right.value, right.prio, merge(left, right.left), right.right)
+        return _with_children(left, left.left, merge(left.right, right))
+    return _with_children(right, merge(left, right.left), right.right)
 
 
 def insert(node, key, value):
@@ -144,12 +152,12 @@ def _insert(node, key, value, prio):
         new_left = _insert(node.left, key, value, prio)
         if new_left is node.left:
             return node
-        return Node(node.key, node.value, node.prio, new_left, node.right)
+        return _with_children(node, new_left, node.right)
     if node.key < key:
         new_right = _insert(node.right, key, value, prio)
         if new_right is node.right:
             return node
-        return Node(node.key, node.value, node.prio, node.left, new_right)
+        return _with_children(node, node.left, new_right)
     if node.value == value and type(node.value) is type(value):
         return node
     return Node(key, value, prio, node.left, node.right)
@@ -163,12 +171,12 @@ def remove(node, key):
         new_left = remove(node.left, key)
         if new_left is node.left:
             return node
-        return Node(node.key, node.value, node.prio, new_left, node.right)
+        return _with_children(node, new_left, node.right)
     if node.key < key:
         new_right = remove(node.right, key)
         if new_right is node.right:
             return node
-        return Node(node.key, node.value, node.prio, node.left, new_right)
+        return _with_children(node, node.left, new_right)
     return merge(node.left, node.right)
 
 
@@ -195,7 +203,8 @@ def union(a, b, combine=None):
     value = a.value
     if found is not None:
         value = combine(a.value, found.value) if combine is not None else found.value
-    return Node(a.key, value, a.prio, union(a.left, left, combine), union(a.right, right, combine))
+    return Node(a.key, value, a.prio, union(a.left, left, combine),
+                union(a.right, right, combine), a.kv if value is a.value else None)
 
 
 def intersection(a, b, combine=None):
@@ -209,7 +218,8 @@ def intersection(a, b, combine=None):
     new_right = intersection(a.right, right, combine)
     if found is not None:
         value = combine(a.value, found.value) if combine is not None else a.value
-        return Node(a.key, value, a.prio, new_left, new_right)
+        return Node(a.key, value, a.prio, new_left, new_right,
+                    a.kv if value is a.value else None)
     return merge(new_left, new_right)
 
 
@@ -228,7 +238,7 @@ def difference(a, b):
         return merge(new_left, new_right)
     if new_left is a.left and new_right is a.right:
         return a
-    return Node(a.key, a.value, a.prio, new_left, new_right)
+    return _with_children(a, new_left, new_right)
 
 
 def items(node):
@@ -306,6 +316,19 @@ def rank(node, key):
     return count
 
 
+class _Mut:
+    """A mutable node of :func:`from_sorted_items`' Cartesian tree."""
+
+    __slots__ = ("key", "value", "prio", "left", "right")
+
+    def __init__(self, key, value, prio):
+        self.key = key
+        self.value = value
+        self.prio = prio
+        self.left = None
+        self.right = None
+
+
 def from_sorted_items(pairs):
     """Bulk-load a treap from key-ascending ``(key, value)`` pairs in O(n).
 
@@ -314,16 +337,6 @@ def from_sorted_items(pairs):
     immutable nodes.  The result is bit-identical to repeated insertion
     (unique representation).
     """
-
-    class _Mut:
-        __slots__ = ("key", "value", "prio", "left", "right")
-
-        def __init__(self, key, value, prio):
-            self.key = key
-            self.value = value
-            self.prio = prio
-            self.left = None
-            self.right = None
 
     spine = []
     last_key = MISSING

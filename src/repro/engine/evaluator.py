@@ -333,10 +333,24 @@ def _clone_rule(rule, body):
     return Rule(rule.head_pred, rule.head_args, body, rule.agg, rule.n_keys, rule.name)
 
 
-def _check_functional(pred, rule, relation):
-    """Enforce the functional dependency of ``R[keys] = value`` heads."""
+def _check_functional(pred, rule, relation, added=None):
+    """Enforce the functional dependency of ``R[keys] = value`` heads.
+
+    ``added`` (the tuples just inserted into a relation that satisfied
+    the dependency before them) restricts the check to their keys; the
+    smallest offending key is reported either way.
+    """
     n_keys = rule.n_keys
     if n_keys >= len(rule.head_args):
+        return
+    if added is not None:
+        for tup in sorted(added):
+            matches = relation.iter_prefix(tup[:n_keys])
+            next(matches, None)
+            if next(matches, None) is not None:
+                raise FunctionalDependencyViolation(
+                    "{}[{}] derived with conflicting values".format(pred, tup[:n_keys])
+                )
         return
     previous_key = None
     for tup in relation:

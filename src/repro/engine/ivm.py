@@ -413,7 +413,7 @@ class IncrementalEngine:
             delta = Delta.from_iters(added, removed)
             global_stats.bump("ivm.delta_tuples", len(added) + len(removed))
             new_relations[pred] = new_relations[pred].apply(delta)
-            _check_functional(pred, group[0], new_relations[pred])
+            _check_functional(pred, group[0], new_relations[pred], added)
             new_states[pred] = state.replace(counts=counts)
             deltas[pred] = delta
 

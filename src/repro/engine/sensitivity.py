@@ -66,24 +66,32 @@ class SensitivityRecorder:
     where an *occurrence* identifies one atom of one rule body together
     with the storage permutation of its columns, and *context* is the
     permuted prefix (constants included) under which the level was
-    explored.
+    explored.  Trackers append raw intervals; :meth:`freeze` coalesces
+    the lists touched since the previous freeze, so the stored data
+    stays bounded by the distinct regions ever explored.
     """
 
-    __slots__ = ("_data", "_frozen")
+    __slots__ = ("_data", "_frozen", "_dirty")
 
     def __init__(self):
         self._data = {}  # (pred, perm) -> {level: {context: [intervals]}}
-        self._frozen = None  # cached SensitivityIndex; None when dirty
+        self._frozen = None  # last SensitivityIndex built
+        # (occurrence, level, context) -> its interval list, for every
+        # site handed out since the last freeze
+        self._dirty = {}
 
     def tracker(self, pred, perm, level, context):
         """A ``record(low, high)`` sink for the given site."""
         pred = canonical_pred(pred)
         if pred is None:
             return _NULL_TRACKER
-        self._frozen = None
-        levels = self._data.setdefault((pred, tuple(perm)), {})
-        contexts = levels.setdefault(level, {})
-        intervals = contexts.setdefault(tuple(context), [])
+        key = (pred, tuple(perm))
+        context = tuple(context)
+        contexts = self._data.setdefault(key, {}).setdefault(level, {})
+        intervals = contexts.get(context)
+        if intervals is None:
+            intervals = contexts[context] = []
+        self._dirty[(key, level, context)] = intervals
         return _Tracker(intervals)
 
     def record_point(self, pred, tup):
@@ -121,21 +129,44 @@ class SensitivityRecorder:
         return {pred for pred, _ in self._data}
 
     def freeze(self):
-        """Build the queryable :class:`SensitivityIndex` (cached until
-        the next recording)."""
+        """The queryable :class:`SensitivityIndex` (cached until the
+        next recording).
+
+        Only the sites touched since the previous freeze are coalesced;
+        the new index shares every other entry with the previous one,
+        which stays valid for whoever holds it.
+        """
         if self._frozen is None:
-            self._frozen = SensitivityIndex(self._data)
+            # first freeze (or data restored from a checkpoint): every
+            # site is new to the index
+            self._dirty = {
+                (key, level, context): intervals
+                for key, levels in self._data.items()
+                for level, contexts in levels.items()
+                for context, intervals in contexts.items()
+            }
+        if self._frozen is None or self._dirty:
+            self._frozen = SensitivityIndex.updated(self._frozen, self._dirty)
+            self._dirty = {}
         return self._frozen
+
+    def coalesced(self):
+        """The recorded data with every interval list coalesced:
+        ``{(pred, perm): {level: {context: [(low, high), ...]}}}``
+        (what checkpoints persist).  Read-only."""
+        self.freeze()
+        return self._data
 
     def merge_from(self, other):
         """Fold another recorder's raw data into this one."""
-        self._frozen = None
         for key, levels in other._data.items():
             my_levels = self._data.setdefault(key, {})
             for level, contexts in levels.items():
                 my_contexts = my_levels.setdefault(level, {})
                 for context, intervals in contexts.items():
-                    my_contexts.setdefault(context, []).extend(intervals)
+                    mine = my_contexts.setdefault(context, [])
+                    mine.extend(intervals)
+                    self._dirty[(key, level, context)] = mine
 
 
 def _merge_intervals(intervals):
@@ -162,6 +193,27 @@ def _merge_intervals(intervals):
             merged.append((low, high))
     lows = [_interval_sort_key(interval) for interval in merged]
     return lows, merged
+
+
+def _coalesce(old, intervals):
+    """The ``(lows, merged)`` entry for ``intervals``, whose first
+    ``len(old[1])`` items are ``old``'s merged intervals (or all raw
+    when ``old`` is ``None``).  Returns ``old`` itself when every
+    later interval already lies inside one of its merged intervals."""
+    if old is None:
+        return _merge_intervals(intervals)
+    lows, merged = old
+    pending = intervals[len(merged):]
+    for low, high in pending:
+        position = bisect_right(lows, _interval_sort_key((low, None)))
+        if position == 0:
+            break
+        cover_low, cover_high = merged[position - 1]
+        if _strictly_less(low, cover_low) or _strictly_less(cover_high, high):
+            break
+    else:
+        return old
+    return _merge_intervals(list(merged) + pending)
 
 
 def _strictly_less(a, b):
@@ -199,18 +251,60 @@ class SensitivityIndex:
         # (pred, perm) -> {level: {context: (lows, merged_intervals)}}
         self._index = {}
         self._total = set()  # predicates with blanket sensitivity
+        owned = set()
         for (pred, perm), levels in raw.items():
-            frozen_levels = {}
             for level, contexts in levels.items():
-                frozen_levels[level] = {
-                    context: _merge_intervals(intervals)
-                    for context, intervals in contexts.items()
-                }
                 for context, intervals in contexts.items():
-                    if any(low is BOTTOM and high is TOP for low, high in intervals):
-                        if level == 0:
-                            self._total.add(pred)
-            self._index[(pred, perm)] = frozen_levels
+                    self._set(pred, perm, level, context,
+                              _merge_intervals(intervals), owned)
+
+    @classmethod
+    def updated(cls, previous, sites):
+        """``previous`` (or an empty index) with the entries of
+        ``sites`` — ``{(occurrence, level, context): intervals}`` —
+        re-coalesced.  Untouched entries are shared, not copied, and
+        ``previous`` is left as it was — and returned as it is when no
+        site recorded anything new.  Each site's interval list must
+        start with the entry ``previous`` holds for it; the list is
+        replaced in place by its coalesced form.
+        """
+        index = cls.__new__(cls)
+        if previous is None:
+            index._index, index._total = {}, set()
+        else:
+            index._index, index._total = dict(previous._index), set(previous._total)
+        owned = set()
+        for ((pred, perm), level, context), intervals in sites.items():
+            old = None
+            if previous is not None:
+                old = previous._index.get((pred, perm), {}).get(level, {}).get(context)
+            entry = _coalesce(old, intervals)
+            intervals[:] = entry[1]
+            if entry is not old:
+                index._set(pred, perm, level, context, entry, owned)
+        if previous is not None and not owned:
+            return previous
+        return index
+
+    def _set(self, pred, perm, level, context, entry, owned):
+        """Store one entry.  Copy-on-write: a dict possibly shared with
+        another index is copied the first time it changes, and its key
+        joins ``owned``."""
+        key = (pred, perm)
+        levels = self._index.get(key)
+        if key not in owned:
+            levels = self._index[key] = dict(levels or {})
+            owned.add(key)
+        contexts = levels.get(level)
+        if (key, level) not in owned:
+            contexts = levels[level] = dict(contexts or {})
+            owned.add((key, level))
+        contexts[context] = entry
+        # a blanket interval absorbs all others but a (BOTTOM, BOTTOM)
+        if level == 0 and any(
+            low is BOTTOM and high is TOP for low, high in entry[1][:2]
+        ):
+            self._total.add(pred)
 
     @staticmethod
     def _contains(lows, merged, value):

@@ -50,19 +50,17 @@ class Constraint:
     """An integrity constraint: every LHS binding must extend to RHS.
 
     ``lhs`` and ``rhs`` are lists of engine IR atoms; ``type_checks``
-    holds ``(PrimitiveType, var_name)`` pairs from type atoms and
-    ``entity_checks`` holds ``(entity_name, var_name)`` pairs.  Soft
+    holds ``(PrimitiveType, var_name)`` pairs from type atoms.  Soft
     constraints carry a ``weight`` and are skipped by the enforcing
     checker (they feed MAP inference instead, §2.3.3).
     """
 
-    __slots__ = ("lhs", "rhs", "type_checks", "entity_checks", "weight", "text")
+    __slots__ = ("lhs", "rhs", "type_checks", "weight", "text")
 
-    def __init__(self, lhs, rhs, type_checks, entity_checks, weight=None, text=None):
+    def __init__(self, lhs, rhs, type_checks, weight=None, text=None):
         self.lhs = list(lhs)
         self.rhs = list(rhs)
         self.type_checks = list(type_checks)
-        self.entity_checks = list(entity_checks)
         self.weight = weight
         self.text = text
 
@@ -131,7 +129,6 @@ class _Lowerer:
         self.fresh = itertools.count()
         self.reactive = reactive
         self.type_checks = []
-        self.entity_checks = []
 
     def fresh_var(self, hint="t"):
         return "${}{}".format(hint, next(self.fresh))
@@ -346,21 +343,11 @@ def _compile_constraint(clause, block):
     for atom in clause.rhs:
         rhs_ctx.atom(atom)
     rhs = rhs_ctx.finish()
-    entity_checks = []
-    rhs_atoms = []
-    for atom in rhs:
-        if isinstance(atom, ir.PredAtom) and len(atom.args) == 1:
-            # unary atoms over entity types become entity checks at
-            # enforcement time; kept as atoms otherwise
-            rhs_atoms.append(atom)
-        else:
-            rhs_atoms.append(atom)
     block.constraints.append(
         Constraint(
             lhs,
-            rhs_atoms,
+            rhs,
             lhs_ctx.type_checks + rhs_ctx.type_checks,
-            entity_checks,
             clause.weight,
             text=repr(clause),
         )

@@ -1,16 +1,24 @@
 """Integrity constraint checking (paper §2.2.1).
 
 A hard constraint ``F -> G`` holds when every satisfying assignment of
-``F`` extends to one of ``G``.  The checker runs LFTJ over the LHS and,
-per binding, an existence query over the RHS with the shared variables
-pinned through virtual ``@bound:`` singletons (plan built once per
-constraint).  Type atoms check the Python-level primitive type of the
-bound value.
+``F`` extends to one of ``G``.  The checker takes LHS bindings from LFTJ
+and, per binding, runs an existence query over the RHS with the shared
+variables pinned through virtual ``@bound:`` singletons (plan built once
+per constraint).  Type atoms check the Python-level primitive type of
+the bound value.
+
+A transaction's check takes only the LHS bindings its deltas touch, as
+the paper checks constraints with the incremental machinery of views
+(§2.2.1, §3.2): its cost follows the size of the change, not of the
+database.  Program changes, bulk loads and a few structural cases walk
+every binding instead.
 
 Soft (weighted) constraints are never enforced here — they define the
 MAP-inference objective in :mod:`repro.prob.mln`.
 """
 
+from repro import obs as _obs
+from repro import stats as _stats
 from repro.engine import ir
 from repro.engine.lftj import LeapfrogTrieJoin
 from repro.engine.planner import PlanError, build_plan
@@ -79,8 +87,79 @@ def _atom_arities(atoms):
     return arities
 
 
+class _CandidateSource:
+    """One way a delta on one constraint atom can create violations.
+
+    A delta tuple on ``pred`` (``side`` is ``"added"`` or
+    ``"removed"``) is projected onto ``names`` — the atom's variables
+    that also occur in the LHS — and the LHS is re-run with an extra
+    ``@cand`` atom over them, yielding exactly the LHS bindings that
+    tuple touches (IVM's ``@cand`` rewriting, :mod:`repro.engine.ivm`).
+    ``plan`` is ``None`` when no such projection exists (an atom with no
+    variable shared with the LHS); ``reason`` then says why the full
+    walk runs.
+    """
+
+    __slots__ = ("side", "positions", "consts", "plan", "order_map", "reason")
+
+    def __init__(self, atom, side, names, lhs_atoms, lhs_order):
+        self.side = side
+        first = {}
+        self.consts = []
+        for position, arg in enumerate(atom.args):
+            if isinstance(arg, ir.Var):
+                first.setdefault(arg.name, position)
+            else:
+                self.consts.append((position, arg.value))
+        names = [name for name in lhs_order if name in names and name in first]
+        self.positions = [first[name] for name in names]
+        self.plan = self.order_map = None
+        self.reason = "unshared" if not names else None
+        if not names:
+            return
+        atoms = list(lhs_atoms) + [
+            ir.PredAtom("@cand", [ir.Var(name) for name in names])
+        ]
+        # the candidate variables lead, so the join starts from the delta
+        rest = [name for name in lhs_order if name not in names]
+        for order in (names + rest, list(lhs_order)):
+            try:
+                self.plan = build_plan(atoms, var_order=order, output_vars=lhs_order)
+                break
+            except PlanError:
+                continue
+        else:
+            self.reason = "unplannable"
+            return
+        if self.plan.var_order != tuple(lhs_order):
+            self.order_map = [self.plan.var_order.index(name) for name in lhs_order]
+
+    def keys(self, delta):
+        """The candidate projections of ``delta``'s relevant side."""
+        keys = set()
+        for tup in getattr(delta, self.side):
+            if all(tup[position] == value for position, value in self.consts):
+                keys.add(tuple(tup[position] for position in self.positions))
+        return keys
+
+
 class CompiledConstraint:
-    """Prepared plans for one constraint (cached per constraint)."""
+    """Prepared plans for one constraint (cached per constraint).
+
+    One checking loop (type checks, then an RHS existence probe) runs
+    over one of two binding sources: every LHS binding (the full walk),
+    or the LHS bindings a delta may have turned into violations, given
+    a state that satisfied the constraint before the delta:
+
+    * a positive LHS atom's added tuples, or a negated one's removed
+      tuples, make new LHS bindings;
+    * a positive RHS atom's removed tuples, or a negated one's added
+      tuples, may take away an existing binding's RHS support.
+
+    Both sources yield bindings in ``lhs_plan.var_order`` order, so the
+    delta path reports the same violations, in the same order and up to
+    the same limit, as the full walk.
+    """
 
     def __init__(self, constraint):
         self.constraint = constraint
@@ -98,49 +177,100 @@ class CompiledConstraint:
                 rhs_vars |= atom.var_names()
             elif isinstance(atom, ir.AssignAtom):
                 rhs_vars |= atom.input_vars() | {atom.var}
-        typed_vars = {name for _, name in constraint.type_checks}
-        self.shared = sorted((lhs_vars & rhs_vars) | (lhs_vars & typed_vars) & lhs_vars)
-        self.check_vars = sorted(lhs_vars & (rhs_vars | typed_vars))
         self.lhs_plan = build_plan(constraint.lhs, output_vars=sorted(lhs_vars))
+        self.rhs_bound_vars = sorted(lhs_vars & rhs_vars)
         bound_atoms = [
             ir.PredAtom("@bound:" + name, [ir.Var(name)])
-            for name in sorted(lhs_vars & rhs_vars)
+            for name in self.rhs_bound_vars
         ]
         self.rhs_plan = None
         if constraint.rhs:
             self.rhs_plan = build_plan(
                 bound_atoms + _tolerant_rhs(constraint.rhs), output_vars=()
             )
-        self.rhs_bound_vars = sorted(lhs_vars & rhs_vars)
         self.preds = _atom_arities(constraint.lhs + constraint.rhs)
+        lhs_order = list(self.lhs_plan.var_order)
+        self.sources = {}  # pred -> [_CandidateSource]
+        for atoms, flip, names in (
+            (constraint.lhs, False, set(lhs_order)),
+            (constraint.rhs, True, set(self.rhs_bound_vars)),
+        ):
+            for atom in atoms:
+                if not isinstance(atom, ir.PredAtom):
+                    continue
+                side = "removed" if atom.negated != flip else "added"
+                self.sources.setdefault(atom.pred, []).append(
+                    _CandidateSource(atom, side, names, constraint.lhs, lhs_order)
+                )
 
-    def check(self, relations, limit=10):
-        """Return up to ``limit`` violating LHS bindings."""
-        constraint = self.constraint
+    def full_walk_reason(self, relations, deltas):
+        """Why ``deltas`` need the full walk, or ``None`` when the
+        delta path covers them."""
+        for pred, delta in deltas.items():
+            for source in self.sources.get(pred, ()):
+                if source.plan is None and getattr(delta, source.side):
+                    return source.reason
+        for pred, delta in deltas.items():
+            relation = relations.get(pred)
+            if pred in self.sources and len(delta) >= (
+                    len(relation) if relation is not None else 0):
+                return "bulk"
+        return None
+
+    def check(self, relations, limit=10, deltas=None):
+        """Return up to ``limit`` violating LHS bindings.
+
+        With ``deltas`` (pred -> :class:`Delta`, already applied to
+        ``relations``) only the bindings those deltas touch are checked;
+        the caller guarantees the pre-delta state satisfied the
+        constraint and that :meth:`full_walk_reason` is ``None``.
+        """
         env = _EnvView(relations, self.preds)
-        violations = []
+        if deltas is None:
+            bindings = LeapfrogTrieJoin(self.lhs_plan, env).run()
+        else:
+            bindings = self._candidates(env, deltas)
+        return self._violations(env, bindings, limit)
+
+    def _candidates(self, env, deltas):
+        found = set()
+        for pred, delta in deltas.items():
+            for source in self.sources.get(pred, ()):
+                keys = source.keys(delta)
+                if not keys:
+                    continue
+                env["@cand"] = Relation.from_iter(len(source.positions), keys)
+                order_map = source.order_map
+                for binding in LeapfrogTrieJoin(source.plan, env).run():
+                    if order_map is not None:
+                        binding = tuple(binding[i] for i in order_map)
+                    found.add(binding)
+        return sorted(found)
+
+    def _violations(self, env, bindings, limit):
+        constraint = self.constraint
         var_order = self.lhs_plan.var_order
         positions = {name: i for i, name in enumerate(var_order)}
         type_checks = [
             (primitive, positions[name])
             for primitive, name in constraint.type_checks
-            if name in positions
+            if primitive is not None and name in positions
         ]
-        for binding in LeapfrogTrieJoin(self.lhs_plan, env).run():
+        bound = [("@bound:" + name, positions[name]) for name in self.rhs_bound_vars]
+        violations = []
+        checked = 0
+        for binding in bindings:
+            checked += 1
             ok = True
             for primitive, position in type_checks:
-                if primitive is not None and not check_type(binding[position], primitive):
+                if not check_type(binding[position], primitive):
                     ok = False
                     break
             if ok and self.rhs_plan is not None:
-                probe_env = dict(env)
-                for name in self.rhs_bound_vars:
-                    probe_env["@bound:" + name] = Relation.from_iter(
-                        1, [(binding[positions[name]],)]
-                    )
-                probe_env = _EnvView(probe_env, self.preds)
+                for name, position in bound:
+                    env[name] = Relation.from_iter(1, [(binding[position],)])
                 ok = False
-                for _ in LeapfrogTrieJoin(self.rhs_plan, probe_env).run():
+                for _ in LeapfrogTrieJoin(self.rhs_plan, env).run():
                     ok = True
                     break
             if not ok:
@@ -150,19 +280,23 @@ class CompiledConstraint:
                 )
                 if len(violations) >= limit:
                     break
+        _stats.bump("constraints.bindings_checked", checked)
         return violations
 
 
 class ConstraintChecker:
     """Checks a set of hard constraints against workspace relations.
 
-    ``changed_preds`` narrows the check to constraints that mention a
-    changed predicate (the common transactional case); ``None`` checks
-    everything (addblock, initial load).
+    ``full_walk_preds`` names predicates whose constraints always take
+    the full walk: the delta path assumes the pre-delta state satisfied
+    the constraint, which does not hold once an exemption (unsolved
+    ``lang:solve:variable`` predicates) lifts over rows written while
+    it was in force.
     """
 
-    def __init__(self, constraints):
+    def __init__(self, constraints, full_walk_preds=()):
         self.compiled = []
+        self.full_walk_preds = frozenset(full_walk_preds)
         for constraint in constraints:
             if constraint.is_soft:
                 continue
@@ -173,22 +307,46 @@ class ConstraintChecker:
                 # pure-arithmetic tautologies) cannot be violated by data
                 continue
 
-    def check(self, relations, changed_preds=None, exempt_preds=()):
+    def check(self, relations, changed_preds=None, exempt_preds=(), deltas=None):
         """All violations as ``(constraint, binding)`` pairs.
 
-        ``exempt_preds`` suspends constraints mentioning those
-        predicates — used for unsolved ``lang:solve:variable``
-        predicates, which the system (not the user) must populate.
+        ``changed_preds`` narrows the check to constraints that mention
+        a changed predicate; ``None`` checks everything (addblock,
+        removeblock).  ``deltas`` (pred -> :class:`Delta`, already
+        applied to ``relations``) narrows it further, to the bindings
+        the deltas touch (the common transactional case); its keys are
+        the changed predicates.  ``exempt_preds`` suspends
+        constraints mentioning those predicates — used for unsolved
+        ``lang:solve:variable`` predicates, which the system (not the
+        user) must populate.  The enclosing span gets a ``reason``
+        attribute: ``delta``, or why a constraint took the full walk.
         """
         violations = []
         exempt = set(exempt_preds)
+        reasons = set()
+        if deltas is not None:
+            changed_preds = deltas
         for compiled in self.compiled:
-            if changed_preds is not None and not (
-                set(compiled.preds) & changed_preds
+            if changed_preds is not None and not any(
+                p in changed_preds for p in compiled.preds
             ):
                 continue
-            if exempt and set(compiled.preds) & exempt:
+            if exempt and any(p in exempt for p in compiled.preds):
                 continue
-            for binding in compiled.check(relations):
+            if deltas is None:
+                reason = "no_delta"
+            elif any(p in self.full_walk_preds for p in compiled.preds):
+                reason = "solve_variable"
+            else:
+                reason = compiled.full_walk_reason(relations, deltas)
+            if reason is None:
+                reasons.add("delta")
+                found = compiled.check(relations, deltas=deltas)
+            else:
+                reasons.add(reason)
+                _stats.bump("constraints.full_checks")
+                found = compiled.check(relations)
+            for binding in found:
                 violations.append((compiled.constraint, binding))
+        _obs.annotate(reason=",".join(sorted(reasons)) or "none")
         return violations

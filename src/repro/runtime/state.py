@@ -92,12 +92,14 @@ class ProgramArtifacts:
         self.reactive_ruleset = (
             RuleSet(self.reactive_rules) if self.reactive_rules else None
         )
-        self.checker = ConstraintChecker(self.constraints)
         self.solve_variable_preds = {
             d.args[0].name
             for d in self.directives
             if d.name == "lang:solve:variable" and d.args
         }
+        self.checker = ConstraintChecker(
+            self.constraints, full_walk_preds=self.solve_variable_preds
+        )
         self.prob_head_preds = {rule.head_pred for rule in self.prob_rules}
         self.arities = self._infer_arities()
         self.edb_preds = {

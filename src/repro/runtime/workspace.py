@@ -252,7 +252,7 @@ class Workspace:
                 window.span.attrs["block"] = name
             new_blocks = state.artifacts.blocks.set(name, block)
             new_state = self._rebuild(state, new_blocks, name, block)
-            self._check(new_state, changed_preds=None)
+            self._check(new_state)
             self._commit(new_state)
             return window.result(block=name)
 
@@ -265,7 +265,7 @@ class Workspace:
                 raise KeyError("no such block: {}".format(name))
             new_blocks = state.artifacts.blocks.remove(name)
             new_state = self._rebuild(state, new_blocks, name, None)
-            self._check(new_state, changed_preds=None)
+            self._check(new_state)
             self._commit(new_state)
             return window.result(block=name)
 
@@ -301,7 +301,11 @@ class Workspace:
         :meth:`reset_engine_stats`): plan-cache hits/misses, warm vs.
         cold relation indexes and arrays, join seek/next movement,
         columnar activity, and IVM work.  Benchmarks export these next
-        to wall times so speedups are attributable.
+        to wall times so speedups are attributable.  Integrity checks
+        count ``constraints.bindings_checked`` (LHS bindings probed) and
+        ``constraints.full_checks`` (constraints checked by walking
+        every binding rather than the delta's), which answer "why was
+        this commit slow" without tracing.
 
         Counters bumped by other workspaces — even concurrently on
         other threads — do not appear here; each workspace's
@@ -523,7 +527,7 @@ class Workspace:
             new_state = WorkspaceState(
                 artifacts, new_bases, new_mat, state.meta_state
             )
-            self._check(new_state, changed_preds=set(all_deltas))
+            self._check(new_state, all_deltas)
             if span_ is not None:
                 span_.attrs["changed_preds"] = len(all_deltas)
             return new_state, all_deltas
@@ -556,7 +560,7 @@ class Workspace:
                         [(_type_violation(pred, arg_type), {"value": value})]
                     )
 
-    def _check(self, state, changed_preds):
+    def _check(self, state, deltas=None):
         # unsolved solve-variables are the system's responsibility:
         # constraints over them only bind once values are populated
         exempt = {
@@ -569,11 +573,11 @@ class Workspace:
         exempt |= state.artifacts.prob_head_preds
         with _obs.span(
             "constraints.check",
-            scope="all" if changed_preds is None else len(changed_preds),
+            scope="all" if deltas is None else len(deltas),
         ):
             _stats.bump("constraints.checks")
             violations = state.artifacts.checker.check(
-                state.env_with_defaults(), changed_preds, exempt
+                state.env_with_defaults(), exempt_preds=exempt, deltas=deltas
             )
         if violations:
             raise ConstraintViolation(violations)

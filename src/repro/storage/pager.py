@@ -271,11 +271,13 @@ class _PackWriter:
     entries.  Everything here is staged: nothing becomes visible to
     later checkpoints until the manifest swap commits the attempt."""
 
-    __slots__ = ("pending", "memo", "bytes_written")
+    __slots__ = ("pending", "memo", "recorders", "bytes_written")
 
     def __init__(self):
         self.pending = {}  # addr -> payload, insertion (= post) order
         self.memo = {}  # id(node) -> (node ref, addr), this attempt
+        # id(recorder) -> (recorder, frozen index, addr), this attempt
+        self.recorders = {}
         self.bytes_written = 0
 
     def add(self, addr, payload):
@@ -415,6 +417,8 @@ class CheckpointStore:
         self.path = path
         self.store = NodeStore(path)
         self._memo = {}  # id(node) -> (node ref, addr)
+        # id(recorder) -> (recorder, frozen index, addr) as last written
+        self._recorder_memo = {}
         self._manifest = None
         os.makedirs(path, exist_ok=True)
         manifest = read_manifest(path)
@@ -454,6 +458,19 @@ class CheckpointStore:
             _stats.bump("pager.nodes_written")
         return addr
 
+    def _write_recorder(self, recorder, writer):
+        """A recorder's blob address.  Its frozen index stays the same
+        object while nothing new is recorded, so a recorder unchanged
+        since it was last written is not even re-encoded."""
+        frozen = recorder.freeze()
+        memo_hit = (writer.recorders.get(id(recorder))
+                    or self._recorder_memo.get(id(recorder)))
+        if memo_hit is not None and memo_hit[1] is frozen:
+            return memo_hit[2]
+        addr = self._write_blob(encode_value(_recorder_payload(recorder)), writer)
+        writer.recorders[id(recorder)] = (recorder, frozen, addr)
+        return addr
+
     def _relation_ref(self, relation, writer):
         return [relation.arity, self._write_tree(relation.tuples()._root, writer).hex()]
 
@@ -487,9 +504,7 @@ class CheckpointStore:
             for pred, pstate in sorted(mat.states.items())
         }
         record["recorders"] = {
-            str(index): self._write_blob(
-                encode_value(_recorder_payload(recorder)), writer
-            ).hex()
+            str(index): self._write_recorder(recorder, writer).hex()
             for index, recorder in sorted(mat.rule_recorders.items())
         }
         meta = state.meta_state
@@ -590,6 +605,7 @@ class CheckpointStore:
         if locations is not None:
             self.store.commit_pack(pack_name, locations)
         self._memo.update(writer.memo)
+        self._recorder_memo.update(writer.recorders)
         self._manifest = manifest
         _stats.bump("pager.checkpoints")
         return {
@@ -886,7 +902,7 @@ def _recorder_payload(recorder):
             for level, contexts in sorted(levels.items())
         ]]
         for (pred, perm), levels in sorted(
-            recorder._data.items(), key=lambda kv: (kv[0][0], kv[0][1])
+            recorder.coalesced().items(), key=lambda kv: (kv[0][0], kv[0][1])
         )
     ]
 

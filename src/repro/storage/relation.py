@@ -12,6 +12,7 @@ is applied, so a small write to a large indexed relation stays cheap.
 """
 
 import random
+from bisect import bisect_left
 
 from repro import stats
 from repro.ds import treap
@@ -87,10 +88,27 @@ def _invert_perm(perm):
     return tuple(inverse)
 
 
+#: edits up to this many are spliced into a copy of the array by
+#: bisection (C-level copies and shifts) instead of a Python-level merge
+_SPLICE_EDITS = 32
+
+
 def _merge_sorted(rows, added, removed):
-    """``rows`` minus ``removed`` merged with sorted ``added`` (one linear
-    pass; removal wins first, re-insertion via ``added`` wins last, which
-    matches ``(tuples - removed) | added``)."""
+    """``rows`` minus ``removed`` merged with sorted ``added`` (removal
+    wins first, re-insertion via ``added`` wins last, which matches
+    ``(tuples - removed) | added``).  Small edits are spliced in by
+    bisection; larger ones take one linear pass."""
+    if len(added) + len(removed) <= _SPLICE_EDITS:
+        out = list(rows)
+        for row in removed:
+            position = bisect_left(out, row)
+            if position < len(out) and out[position] == row:
+                del out[position]
+        for row in added:
+            position = bisect_left(out, row)
+            if position == len(out) or out[position] != row:
+                out.insert(position, row)
+        return out
     out = []
     position = 0
     count = len(added)

@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.evaluator import Evaluator, RuleSet
+from repro.engine.evaluator import (
+    Evaluator,
+    FunctionalDependencyViolation,
+    RuleSet,
+)
 from repro.engine.ir import AssignAtom, BinOp, CompareAtom, Const, PredAtom, Var
 from repro.engine.ivm import IncrementalEngine
 from repro.engine.rules import AggSpec, Rule
@@ -70,6 +74,23 @@ class TestBasicMaintenance:
         mat = engine.initialize({"E": Relation.empty(2)})
         with pytest.raises(KeyError):
             engine.apply(mat, {"nope": Delta.from_iters([(1,)], ())})
+
+
+class TestFunctionalHeads:
+    RULES = [
+        Rule("f", [Var("k"), Var("v")],
+             [PredAtom("A", [Var("k"), Var("v")])], n_keys=1),
+    ]
+
+    def test_added_key_conflict_detected(self):
+        A = Relation.from_iter(2, [(k, k * 10) for k in range(50)])
+        engine = IncrementalEngine(RuleSet(self.RULES))
+        mat = engine.initialize({"A": A})
+        # a changed value under one key keeps the dependency
+        mat, _ = engine.apply(mat, {"A": Delta.from_iters([(7, 1)], [(7, 70)])})
+        assert mat.relations["f"].lookup((7,)) == 1
+        with pytest.raises(FunctionalDependencyViolation, match=r"\(3,\)"):
+            engine.apply(mat, {"A": Delta.from_iters([(3, 1), (9, 1)], ())})
 
 
 class TestSensitivityShortCircuit:

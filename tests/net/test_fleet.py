@@ -42,6 +42,12 @@ def start_leader(tmp_path, *, faults=None):
     session = NetSession(server.host, server.port)
     session.addblock(BLOCK)
     session.load("kv", [(1, 10), (2, 20)])
+    # a commit is acknowledged before its auto-checkpoint lands, and
+    # replicas bootstrap from checkpoints: wait until one holds the load
+    deadline = time.monotonic() + 10.0
+    while service.status()["checkpoint_watermark"] < service.commit_watermark:
+        assert time.monotonic() < deadline, "leader never checkpointed the load"
+        time.sleep(0.005)
     return service, server, session
 
 

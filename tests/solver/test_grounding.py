@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Workspace
+from repro.runtime.errors import ConstraintViolation
 from repro.solver import SolveSession, solve_workspace
 from repro.solver.grounding import GroundingError
 
@@ -138,3 +139,19 @@ class TestGroundingErrors:
         # bound[p] missing: the constraint is violated by data alone
         with pytest.raises(GroundingError):
             solve_workspace(ws)
+
+
+class TestExemptionLift:
+    def test_lifted_exemption_checks_rows_written_while_exempt(self):
+        # Product rows were loaded while Stock was empty, so constraints
+        # over Stock were exempt and never looked at them
+        ws = build(shelf=50.0)
+        # one Stock row lifts the exemption: the write itself is fine,
+        # but product g (written while exempt) now has no Stock value
+        with pytest.raises(ConstraintViolation) as excinfo:
+            ws.load("Stock", [("w", 5.0)])
+        assert {"p": "g"} in [b for _, b in excinfo.value.violations]
+        assert ws.rows("Stock") == []
+        result, _ = solve_workspace(ws)
+        assert result.ok
+        assert sorted(p for p, _ in ws.rows("Stock")) == ["g", "w"]

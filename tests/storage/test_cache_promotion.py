@@ -121,3 +121,11 @@ def test_apply_noop_delta_returns_same_version():
 def test_merge_sorted_matches_set_semantics(rows, added, removed):
     expected = sorted((set(rows) - removed) | set(added))
     assert _merge_sorted(rows, sorted(added), removed) == expected
+
+
+def test_merge_sorted_large_edit_takes_linear_pass():
+    rows = [(i,) for i in range(0, 200, 2)]
+    added = [(i,) for i in range(1, 120, 3)]
+    removed = {(i,) for i in range(0, 80, 4)} | {(1,)}
+    expected = sorted((set(rows) - removed) | set(added))
+    assert _merge_sorted(rows, added, removed) == expected

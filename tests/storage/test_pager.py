@@ -23,6 +23,7 @@ from repro.runtime.workspace import Workspace
 from repro.storage.datum import BOTTOM, TOP
 from repro.storage.pager import (
     CheckpointStore,
+    _recorder_payload,
     decode_value,
     encode_value,
     has_checkpoint,
@@ -191,6 +192,44 @@ class TestIncrementality:
         ws2 = reopened(retail, tmp_path)
         result = ws2.checkpoint(str(tmp_path))
         assert result["nodes_written"] == 0
+
+
+INVENTORY = """
+inventory[s] = v -> string(s), int(v).
+price[s] = p -> string(s), int(p).
+inventory[s] = v -> price[s] = _.
+value[s] = x <- inventory[s] = v, price[s] = p, x = v * p.
+total_value[] = u <- agg<<u = sum(x)>> value[s] = x.
+"""
+
+
+class TestSensitivityGrowth:
+    def test_repeated_commits_to_one_key_keep_recorders_stable(self, tmp_path):
+        ws = Workspace()
+        ws.addblock(INVENTORY, name="inventory")
+        keys = ["sku{:03d}".format(i) for i in range(256)]
+        ws.load("price", [(k, 3) for k in keys])
+        ws.load("inventory", [(k, 1000) for k in keys])
+        samples = []
+        for _ in range(12):
+            ws.exec('^inventory["sku007"] = v - 1 <- '
+                    'inventory@start["sku007"] = v.')
+            ws.checkpoint(str(tmp_path))
+            recorders = ws.state.materialization.rule_recorders
+            manifest = read_manifest(str(tmp_path))
+            head = manifest["states"][str(manifest["branches"]["main"])]
+            samples.append((
+                sum(len(intervals)
+                    for recorder in recorders.values()
+                    for levels in recorder.coalesced().values()
+                    for contexts in levels.values()
+                    for intervals in contexts.values()),
+                sum(len(encode_value(_recorder_payload(recorder)))
+                    for recorder in recorders.values()),
+                head["recorders"],
+            ))
+        # the first commits explore new regions; repeats add nothing
+        assert samples[2:] == [samples[2]] * len(samples[2:])
 
 
 class TestManifest:
