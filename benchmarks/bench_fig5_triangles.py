@@ -111,6 +111,7 @@ def _backend_times(kind, n_nodes):
     asserted bit-identical, both backends warmed before timing."""
     from repro.engine.columnar import make_join
     from repro.engine.optimizer import SamplingOptimizer
+    from repro.engine.plancache import PlanCache
     from repro.engine.rules import Rule
 
     relation, n_edges = graph(kind, n_nodes)
@@ -122,8 +123,10 @@ def _backend_times(kind, n_nodes):
     def run_pure():
         return list(LeapfrogTrieJoin(plan, env, prefer_array=True).run())
 
+    setups = PlanCache()  # the join setup cache a workspace would keep
+
     def run_columnar():
-        return list(make_join(plan, env, backend="columnar").run())
+        return list(make_join(plan, env, backend="columnar", setups=setups).run())
 
     pure_rows = run_pure()  # warm the flat arrays
     assert run_columnar() == pure_rows  # warm the encoded setup

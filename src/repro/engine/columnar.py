@@ -23,22 +23,27 @@ depths, and driver branches unrolled into straight-line numpy code with
 no per-level dynamic dispatch — compiled once and cached per plan
 shape.  Plans with comparison filters, negations, or assignments run
 on the generic vectorized interpreter, which shares every helper with
-the generated code.
+the generated code.  A comparison between variables and constants over
+homogeneous numeric domains (all int64 or all float) is one numpy
+comparison over the frontier; other filters run row-wise.
 
 Equivalence contract: bit-identical rows, in the pure executor's
 enumeration order (codes are order-preserving, so ascending code order
 is ascending value order).  Runs that must record sensitivity
-intervals, and relations whose values do not dictionary-encode, fall
-back to the pure executor — the oracle the backend-equivalence
-property test checks against.
+intervals, joins whose columnar setup is not paid for (see
+:func:`setup_is_paid`), and relations whose values do not
+dictionary-encode run on the pure executor — the oracle the
+backend-equivalence property test checks against.
 """
 
 import os
+import threading
 from bisect import bisect_left
 
 from repro import stats as global_stats
+from repro.engine.ir import CompareAtom, Const, Var
 from repro.engine.lftj import LeapfrogTrieJoin
-from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported
+from repro.storage.columnar import HAVE_NUMPY, ColumnarUnsupported, numeric_domain
 from repro.storage.datum import TOP
 
 if HAVE_NUMPY:
@@ -55,8 +60,8 @@ CODEGEN = True
 
 def resolve_backend(explicit=None):
     """The engine backend to use: an explicit choice, the
-    ``REPRO_ENGINE`` environment override, or ``"pure"``."""
-    backend = explicit or os.environ.get("REPRO_ENGINE") or "pure"
+    ``REPRO_ENGINE`` environment override, or ``"columnar"``."""
+    backend = explicit or os.environ.get("REPRO_ENGINE") or "columnar"
     if backend not in BACKENDS:
         raise ValueError(
             "unknown engine backend {!r}; expected one of {}".format(
@@ -76,23 +81,60 @@ def make_join(
     prefer_array=True,
     stats=None,
     backend="pure",
+    setups=None,
 ):
     """Build the best executor for one planned join.
 
     The columnar executor is used when the backend asks for it, no
     sensitivity recorder is attached (incremental passes stay on the
-    pure path — they are exactly the small-input regime), and every
-    participating relation dictionary-encodes; otherwise the pure
-    executor runs.  Both honour the same ``run()`` contract.
+    pure path), its setup is paid for (:func:`setup_is_paid`, or a hit
+    in the ``setups`` cache), and every participating relation
+    dictionary-encodes; otherwise the pure executor runs.  A join the
+    setup rule turns away bumps ``join.columnar_declined``.  Both
+    executors honour the same ``run()`` contract.
     """
     if backend == "columnar" and recorder is None and HAVE_NUMPY:
-        try:
-            return ColumnarTrieJoin(
-                plan, relations, prefer_array=prefer_array, stats=stats
-            )
-        except ColumnarUnsupported:
-            global_stats.bump("join.columnar_fallbacks")
+        if setup_is_paid(plan, relations) or (
+            setups is not None
+            and setups.setup(_setup_key(plan, relations)) is not None
+        ):
+            try:
+                return ColumnarTrieJoin(
+                    plan, relations, prefer_array=prefer_array, stats=stats,
+                    setups=setups,
+                )
+            except ColumnarUnsupported:
+                global_stats.bump("join.columnar_fallbacks")
+        else:
+            global_stats.bump("join.columnar_declined")
     return LeapfrogTrieJoin(plan, relations, recorder, prefer_array, stats=stats)
+
+
+def setup_is_paid(plan, relations):
+    """True when building the columnar layouts this join lacks costs no
+    more than the rows it enumerates anyway.
+
+    Every participating relation without a cached layout for its
+    permutation must hold at most as many rows as the smallest level-0
+    participant, where a participant with a constant prefix counts as 0
+    rows.  So whole-relation scans run columnar (and leave their layouts
+    behind), while point lookups, seeks into a relation a commit just
+    replaced, and small delta passes over large relations stay pure.
+    """
+    first = plan.participants[0] if plan.var_order else ()
+    budget = min(
+        (
+            0 if plan.atom_plans[atom_index].const_prefix
+            else len(relations[plan.atom_plans[atom_index].pred])
+            for atom_index, _ in first
+        ),
+        default=0,
+    )
+    for atom_plan in plan.atom_plans:
+        relation = relations[atom_plan.pred]
+        if len(relation) > budget and not relation.has_columnar(atom_plan.perm):
+            return False
+    return True
 
 
 # -- join setup: per (plan, relation versions) columnar tries ----------------
@@ -160,13 +202,17 @@ class _AtomArrays:
 class _JoinSetup:
     """Everything the vectorized loops need for one (plan, versions)."""
 
-    __slots__ = ("atoms", "domains", "domain_arrays", "value_index", "sizes", "empty")
+    __slots__ = ("atoms", "domains", "domain_arrays", "value_index", "sizes",
+                 "numeric", "empty")
 
-    def __init__(self, atoms, domains, value_index, sizes, empty):
+    def __init__(self, atoms, domains, value_index, sizes, numeric, empty=False):
         self.atoms = atoms
         self.domains = domains  # per level: sorted value list | None
         self.value_index = value_index  # per level: {value: code} | None
         self.sizes = sizes  # per level: len(domain) or 1
+        # per level: the domain as an int64/float64 array when a
+        # vectorizable comparison reads it and it is homogeneous
+        self.numeric = numeric
         self.empty = empty
         self.domain_arrays = [None] * len(domains)
 
@@ -191,8 +237,44 @@ def _plan_signature(plan):
     )
 
 
-_SETUP_CACHE = {}
-_SETUP_CACHE_LIMIT = 64
+def _plan_shape(plan):
+    """The plan signature minus constant values: generated join loops
+    depend on how many constants prefix an atom, not on which."""
+    return (
+        plan.var_order,
+        tuple(
+            (ap.pred, ap.perm, len(ap.const_prefix), ap.levels)
+            for ap in plan.atom_plans
+        ),
+    )
+
+
+_NP_COMPARE = {
+    "=": np.equal,
+    "!=": np.not_equal,
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+} if HAVE_NUMPY else {}
+
+
+def _vector_compare_levels(plan):
+    """Levels read by a comparison whose two sides are each a variable
+    or a constant (the comparisons :meth:`ColumnarTrieJoin._vector_compare`
+    may evaluate as one numpy operation)."""
+    level_of = {name: level for level, name in enumerate(plan.var_order)}
+    levels = set()
+    for entries in plan.filters.values():
+        for entry in entries:
+            if not isinstance(entry, CompareAtom):
+                continue
+            sides = (entry.left, entry.right)
+            if all(isinstance(side, (Var, Const)) for side in sides):
+                levels.update(
+                    level_of[side.name] for side in sides if isinstance(side, Var)
+                )
+    return levels
 
 
 def _build_setup(plan, relations):
@@ -210,7 +292,7 @@ def _build_setup(plan, relations):
             lo, hi = 0, layout.n_rows
         if lo >= hi:
             return _JoinSetup((), [None] * n_levels, [None] * n_levels,
-                              [1] * n_levels, empty=True)
+                              [1] * n_levels, [None] * n_levels, empty=True)
         layouts.append((atom_plan, layout, lo, hi))
 
     # per-variable dictionaries: the ordered union of every participating
@@ -232,6 +314,8 @@ def _build_setup(plan, relations):
     domains = [None] * n_levels
     value_index = [None] * n_levels
     sizes = [1] * n_levels
+    numeric = [None] * n_levels
+    compared = _vector_compare_levels(plan)
     for level in range(n_levels):
         if level_values[level] is None:
             continue  # assign-only level: raw values, no dictionary
@@ -244,29 +328,38 @@ def _build_setup(plan, relations):
         domains[level] = merged
         value_index[level] = {value: code for code, value in enumerate(merged)}
         sizes[level] = len(merged) or 1
+        if level in compared and merged:
+            numeric[level] = numeric_domain(merged)
 
     atoms = tuple(
         _AtomArrays(atom_plan, layout, lo, hi, value_index, sizes)
         for atom_plan, layout, lo, hi in layouts
     )
-    return _JoinSetup(atoms, domains, value_index, sizes, empty=False)
+    return _JoinSetup(atoms, domains, value_index, sizes, numeric)
 
 
-def _setup_for(plan, relations):
+def _setup_key(plan, relations):
     preds = sorted({ap.pred for ap in plan.atom_plans})
-    key = (
+    return (
         _plan_signature(plan),
         tuple((pred, relations[pred].structural_hash()) for pred in preds),
     )
-    setup = _SETUP_CACHE.get(key)
-    if setup is None:
-        global_stats.bump("join.columnar_setups")
-        setup = _build_setup(plan, relations)
-        while len(_SETUP_CACHE) >= _SETUP_CACHE_LIMIT:
-            _SETUP_CACHE.pop(next(iter(_SETUP_CACHE)))
-        _SETUP_CACHE[key] = setup
-    else:
+
+
+def _setup_for(plan, relations, setups):
+    """The join setup, from the ``setups`` cache (a
+    :class:`~repro.engine.plancache.PlanCache`) when one is given."""
+    key = setup = None
+    if setups is not None:
+        key = _setup_key(plan, relations)
+        setup = setups.setup(key)
+    if setup is not None:
         global_stats.bump("join.columnar_setup_hits")
+        return setup
+    global_stats.bump("join.columnar_setups")
+    setup = _build_setup(plan, relations)
+    if setups is not None:
+        setups.store_setup(key, setup)
     return setup
 
 
@@ -307,6 +400,7 @@ class ColumnarTrieJoin:
         recorder=None,
         prefer_array=True,
         stats=None,
+        setups=None,
     ):
         if recorder is not None:
             raise ColumnarUnsupported("sensitivity recording is a pure-path run")
@@ -314,7 +408,7 @@ class ColumnarTrieJoin:
         self.relations = relations
         self.prefer_array = prefer_array
         self.stats = stats
-        self._setup = _setup_for(plan, relations)
+        self._setup = _setup_for(plan, relations, setups)
 
     # -- counters ---------------------------------------------------------
 
@@ -383,22 +477,63 @@ class ColumnarTrieJoin:
         ]
 
     def _apply_filters(self, adapter, filters, columns, level):
-        """Row-wise filter mask via the pure executor's filter logic."""
+        """Filter mask over the frontier, filters taken in plan order.
+
+        A comparison between numeric variables and constants is one
+        numpy comparison (:meth:`_vector_compare`); every other filter
+        runs row-wise through the pure executor's filter logic, on the
+        rows the earlier filters kept."""
         names = self.plan.var_order
-        decoded = [
-            self._decode_column(lvl, columns[lvl]) for lvl in range(level + 1)
-        ]
-        frontier = len(decoded[0])
-        keep = np.ones(frontier, dtype=bool)
-        for row in range(frontier):
-            bindings = {
-                names[lvl]: decoded[lvl][row] for lvl in range(level + 1)
-            }
-            for entry in filters:
-                if not adapter._filter_holds(entry, bindings):
+        keep = np.ones(len(columns[level][1]), dtype=bool)
+        decoded = None
+        bindings = {}
+        for entry in filters:
+            mask = self._vector_compare(entry, columns)
+            if mask is not None:
+                keep &= mask
+                continue
+            if decoded is None:
+                decoded = [
+                    self._decode_column(lvl, columns[lvl])
+                    for lvl in range(level + 1)
+                ]
+            for row in np.flatnonzero(keep).tolist():
+                row_bindings = bindings.get(row)
+                if row_bindings is None:
+                    row_bindings = bindings[row] = {
+                        names[lvl]: decoded[lvl][row] for lvl in range(level + 1)
+                    }
+                if not adapter._filter_holds(entry, row_bindings):
                     keep[row] = False
-                    break
         return keep
+
+    def _vector_compare(self, entry, columns):
+        """The comparison's mask as one numpy operation, or ``None``
+        when either side is not a numeric variable or constant, or the
+        two sides' kinds differ (int against float stays row-wise:
+        float64 cannot hold every int64 exactly)."""
+        if not isinstance(entry, CompareAtom):
+            return None
+        left = self._numeric_side(entry.left, columns)
+        if left is None:
+            return None
+        right = self._numeric_side(entry.right, columns)
+        if right is None or right[0] != left[0]:
+            return None
+        return _NP_COMPARE[entry.op](left[1], right[1])
+
+    def _numeric_side(self, expr, columns):
+        if isinstance(expr, Const):
+            numeric = numeric_domain([expr.value])
+            return None if numeric is None else (numeric.dtype.kind, expr.value)
+        if not isinstance(expr, Var):
+            return None
+        level = self.plan.var_order.index(expr.name)
+        numeric = self._setup.numeric[level]
+        tag, codes = columns[level]
+        if numeric is None or tag != "code":
+            return None
+        return numeric.dtype.kind, numeric[codes]
 
     # -- the generic interpreter ------------------------------------------
 
@@ -542,6 +677,7 @@ def join_count(plan, relations, prefer_array=True):
 
 _CODEGEN_CACHE = {}
 _CODEGEN_CACHE_LIMIT = 128
+_CODEGEN_LOCK = threading.Lock()
 
 
 def _codegen_eligible(plan):
@@ -680,8 +816,9 @@ def _specialized_for(plan):
     when the shape runs on the generic interpreter."""
     if not _codegen_eligible(plan):
         return None
-    key = _plan_signature(plan)
-    fn = _CODEGEN_CACHE.get(key)
+    key = _plan_shape(plan)
+    with _CODEGEN_LOCK:
+        fn = _CODEGEN_CACHE.get(key)
     if fn is None:
         source = _gen_source(plan)
         namespace = {
@@ -693,8 +830,9 @@ def _specialized_for(plan):
             namespace)
         fn = namespace["_specialized"]
         fn.source = source
-        while len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
-            _CODEGEN_CACHE.pop(next(iter(_CODEGEN_CACHE)))
-        _CODEGEN_CACHE[key] = fn
+        with _CODEGEN_LOCK:
+            while len(_CODEGEN_CACHE) >= _CODEGEN_CACHE_LIMIT:
+                _CODEGEN_CACHE.pop(next(iter(_CODEGEN_CACHE)))
+            _CODEGEN_CACHE[key] = fn
         global_stats.bump("join.columnar_specializations")
     return fn

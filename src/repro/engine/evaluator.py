@@ -10,11 +10,15 @@ The evaluator materializes derived predicates stratum by stratum:
   are maintained by delete-rederive on updates.
 
 All materialization state is persistent, so workspace versions carry
-their evaluation state with them at O(1) branch cost.
+their evaluation state with them at O(1) branch cost.  One-shot query
+evaluation (:meth:`Evaluator.answer`) keeps no maintenance state, and
+returns an answer predicate no rule reads as sorted tuples without
+materializing it at all.
 """
 
 from repro import obs
 from repro.ds.pmap import PMap
+from repro.ds.hashing import canonical_key
 from repro.engine.aggregates import AGGREGATES, agg_add
 from repro.engine.columnar import ColumnarTrieJoin, make_join, resolve_backend
 from repro.engine.ir import Const, PredAtom, Var
@@ -129,8 +133,10 @@ class Evaluator:
     ``backend`` selects the join executor: ``"pure"`` (the per-tuple
     iterator oracle) or ``"columnar"`` (vectorized over
     dictionary-encoded arrays, falling back to pure per join when a
-    relation does not encode or sensitivity recording is on).  ``None``
-    resolves through the ``REPRO_ENGINE`` environment override.
+    relation does not encode, sensitivity recording is on, or the
+    columnar setup is not paid for).  ``None`` resolves through the
+    ``REPRO_ENGINE`` environment override, defaulting to columnar.
+    The plan cache also holds the columnar join setups.
     """
 
     def __init__(
@@ -172,7 +178,8 @@ class Evaluator:
         traced = obs.tracing()
         exec_stats = {} if traced else None
         executor = make_join(plan, relations, recorder, prefer,
-                             stats=exec_stats, backend=self.backend)
+                             stats=exec_stats, backend=self.backend,
+                             setups=self.plan_cache)
         if isinstance(executor, ColumnarTrieJoin):
             bump_prefix = None  # the columnar executor bumps join.* itself
         else:
@@ -207,9 +214,42 @@ class Evaluator:
         programming, §3.3): those are copied instead of recomputed.  A
         recursive stratum is reused only when every member is reusable.
         """
-        relations = dict(base_relations)
-        states = {}
         chooser = recorder_for if recorder_for is not None else (lambda rule: recorder)
+        return self._evaluate(base_relations, {}, chooser, reuse)
+
+    def answer(self, base_relations, pred):
+        """Evaluate for one query: ``(relations, rows)``, ``rows`` being
+        the sorted tuples of ``pred``.
+
+        No maintenance state is built.  When no rule reads ``pred``, it
+        is derived last and its head tuples (support-count keys, or
+        aggregate tuples) are returned directly, without building a
+        :class:`Relation` for it; ``relations`` then lacks ``pred``.
+        """
+        reads = {
+            atom.pred
+            for rule in self.ruleset.rules
+            for atom in rule.body
+            if isinstance(atom, PredAtom)
+        }
+        if pred not in self.ruleset.derived or pred in reads:
+            relations, _ = self._evaluate(base_relations, None, _no_recorder)
+            return relations, sorted(relations[pred])
+        relations, _ = self._evaluate(base_relations, None, _no_recorder, skip=pred)
+        group = self.ruleset.rules_by_head[pred]
+        if group[0].agg is not None:
+            groups = self._aggregate_groups(group[0], relations, _no_recorder)
+            rows = sorted(_aggregate_tuples(group[0], groups))
+        else:
+            rows = sorted(self._support_counts(group, relations, _no_recorder))
+            _check_functional(pred, group[0], rows)
+        _reject_nan(rows)
+        return relations, rows
+
+    def _evaluate(self, base_relations, states, chooser, reuse=None, skip=None):
+        """Evaluate every stratum but ``skip``'s; ``states=None`` builds
+        no :class:`PredicateState` (one-shot evaluation)."""
+        relations = dict(base_relations)
         reuse_relations, reuse_states = reuse if reuse is not None else ({}, {})
         for stratum, recursive in zip(self.ruleset.strata, self.ruleset.recursive_flags):
             if recursive:
@@ -221,6 +261,8 @@ class Evaluator:
                     self._evaluate_recursive(stratum, relations, states, chooser)
             else:
                 for pred in stratum:
+                    if pred == skip:
+                        continue
                     if pred in reuse_relations:
                         relations[pred] = reuse_relations[pred]
                         states[pred] = reuse_states[pred]
@@ -230,9 +272,30 @@ class Evaluator:
 
     def _evaluate_nonrecursive(self, pred, relations, states, chooser):
         group = self.ruleset.rules_by_head[pred]
+        arity = self.ruleset.head_arity(pred)
         if group[0].agg is not None:
-            self._evaluate_aggregate(pred, group[0], relations, states, chooser)
+            groups = self._aggregate_groups(group[0], relations, chooser)
+            relations[pred] = Relation.from_iter(
+                arity, _aggregate_tuples(group[0], groups)
+            )
+            if states is not None:
+                states[pred] = PredicateState(
+                    "agg",
+                    groups=PMap.from_sorted_items(sorted(groups.items())),
+                    agg_fn=group[0].agg.fn,
+                )
             return
+        counts = self._support_counts(group, relations, chooser)
+        relation = Relation.from_iter(arity, counts)
+        _check_functional(pred, group[0], relation)
+        relations[pred] = relation
+        if states is not None:
+            states[pred] = PredicateState(
+                "count", counts=PMap.from_sorted_items(sorted(counts.items()))
+            )
+
+    def _support_counts(self, group, relations, chooser):
+        """Head tuple -> number of derivations, over every rule of ``group``."""
         counts = {}
         for rule in group:
             var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
@@ -240,14 +303,10 @@ class Evaluator:
             for binding in bindings:
                 head = project(binding)
                 counts[head] = counts.get(head, 0) + 1
-        relation = Relation.from_iter(self.ruleset.head_arity(pred), counts)
-        _check_functional(pred, group[0], relation)
-        relations[pred] = relation
-        states[pred] = PredicateState(
-            "count", counts=PMap.from_sorted_items(sorted(counts.items()))
-        )
+        return counts
 
-    def _evaluate_aggregate(self, pred, rule, relations, states, chooser):
+    def _aggregate_groups(self, rule, relations, chooser):
+        """Group key -> aggregation state for one P2P aggregate rule."""
         aggregate = AGGREGATES[rule.agg.fn]
         var_order, bindings = self.rule_bindings(rule, relations, chooser(rule))
         project = _HeadProjector(rule, var_order, drop_last=True)
@@ -259,16 +318,7 @@ class Evaluator:
             if state is None:
                 state = aggregate.empty()
             groups[group_key] = agg_add(rule.agg.fn, state, binding[value_position])
-        tuples = [
-            group_key + (aggregate.result(state),)
-            for group_key, state in groups.items()
-        ]
-        relations[pred] = Relation.from_iter(self.ruleset.head_arity(pred), tuples)
-        states[pred] = PredicateState(
-            "agg",
-            groups=PMap.from_sorted_items(sorted(groups.items())),
-            agg_fn=rule.agg.fn,
-        )
+        return groups
 
     def _evaluate_recursive(self, stratum, relations, states, chooser):
         stratum_preds = set(stratum)
@@ -315,7 +365,8 @@ class Evaluator:
                 delta[pred] = new
         for pred in stratum:
             _check_functional(pred, self.ruleset.rules_by_head[pred][0], relations[pred])
-            states[pred] = PredicateState("recursive")
+            if states is not None:
+                states[pred] = PredicateState("recursive")
 
     def _fire_rules_once(self, pred, relations, chooser):
         tuples = set()
@@ -327,18 +378,38 @@ class Evaluator:
         return Relation.from_iter(self.ruleset.head_arity(pred), tuples)
 
 
+def _no_recorder(rule):
+    return None
+
+
 def _clone_rule(rule, body):
     from repro.engine.rules import Rule
 
     return Rule(rule.head_pred, rule.head_args, body, rule.agg, rule.n_keys, rule.name)
 
 
+def _aggregate_tuples(rule, groups):
+    """Head tuples of an aggregate rule: group key plus result."""
+    result = AGGREGATES[rule.agg.fn].result
+    return [group_key + (result(state),) for group_key, state in groups.items()]
+
+
+def _reject_nan(rows):
+    """Refuse NaN in answer tuples, as storing them in a relation would
+    (:func:`repro.ds.hashing.canonical_key`)."""
+    for row in rows:
+        for value in row:
+            if value != value:
+                canonical_key(value)
+
+
 def _check_functional(pred, rule, relation, added=None):
     """Enforce the functional dependency of ``R[keys] = value`` heads.
 
-    ``added`` (the tuples just inserted into a relation that satisfied
-    the dependency before them) restricts the check to their keys; the
-    smallest offending key is reported either way.
+    ``relation`` is a :class:`Relation` or a sorted list of distinct
+    tuples.  ``added`` (the tuples just inserted into a relation that
+    satisfied the dependency before them) restricts the check to their
+    keys; the smallest offending key is reported either way.
     """
     n_keys = rule.n_keys
     if n_keys >= len(rule.head_args):

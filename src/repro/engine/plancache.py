@@ -13,6 +13,11 @@ transactions, IVM passes, and program edits.
 Hits and misses are counted both locally (``cache.hits`` /
 ``cache.misses``) and in the global engine counters
 (``plan_cache.hits`` / ``plan_cache.misses``) for workspace exports.
+
+The cache also keeps the columnar executor's join setups (its per-join
+dictionary-encoded tries, keyed by plan shape and relation versions),
+so they are shared by the owning workspace's transactions and readers
+and by nothing else.
 """
 
 import threading
@@ -36,9 +41,14 @@ def rule_schema_key(rule):
 class PlanCache:
     """Cross-transaction cache of compiled LFTJ plans."""
 
+    SETUP_CAPACITY = 64  # columnar join setups kept, least recently used out
+
     def __init__(self, capacity=1024):
         self.capacity = capacity
         self._plans = {}  # (rule key, var order, schema key) -> Plan
+        # (plan signature, relation versions) -> columnar join setup,
+        # least recently used first
+        self._setups = {}
         # id(rule) -> (rule, structural key): the strong reference makes
         # the id stable for the cached entry's lifetime
         self._rule_keys = {}
@@ -78,6 +88,21 @@ class PlanCache:
                     self._plans.pop(next(iter(self._plans)))
                 self._plans[key] = plan
             return plan
+
+    def setup(self, key):
+        """The cached columnar join setup for ``key``, or ``None``."""
+        with self._lock:
+            setup = self._setups.pop(key, None)
+            if setup is not None:
+                self._setups[key] = setup
+            return setup
+
+    def store_setup(self, key, setup):
+        """Cache a columnar join setup, evicting the least recently used."""
+        with self._lock:
+            while len(self._setups) >= self.SETUP_CAPACITY:
+                self._setups.pop(next(iter(self._setups)))
+            self._setups[key] = setup
 
     def stats_snapshot(self):
         """Hit/miss/size counters for observability exports."""

@@ -124,9 +124,11 @@ class CompiledBlock:
 class _Lowerer:
     """Per-clause lowering context: fresh variables + emitted atoms."""
 
-    def __init__(self, reactive=False):
+    def __init__(self, reactive=False, fresh=None):
         self.atoms = []
-        self.fresh = itertools.count()
+        # two contexts lowering one clause share ``fresh``, so their
+        # generated variables (``$w0``...) cannot collide
+        self.fresh = fresh if fresh is not None else itertools.count()
         self.reactive = reactive
         self.type_checks = []
 
@@ -339,7 +341,7 @@ def _compile_constraint(clause, block):
     for atom in clause.lhs:
         lhs_ctx.atom(atom)
     lhs = lhs_ctx.finish()
-    rhs_ctx = _Lowerer()
+    rhs_ctx = _Lowerer(fresh=lhs_ctx.fresh)
     for atom in clause.rhs:
         rhs_ctx.atom(atom)
     rhs = rhs_ctx.finish()

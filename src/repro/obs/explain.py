@@ -184,58 +184,42 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def explain_query(state, source, answer=None, *, backend=None,
+def explain_query(state, source, answer=None, *, backend=None, plan_cache=None,
                   sample_size=256, max_candidates=24):
     """Run ``source`` as a query with the sampling optimizer engaged
     and return an :class:`ExplainReport` pairing the optimizer's
     estimate with the executed join's movement counts per rule.
 
-    Mirrors :func:`repro.runtime.workspace.evaluate_query` but plans
-    fresh (no plan cache) so the chooser is consulted for every rule,
-    and collects the run under a private :class:`~repro.obs.Profile`
-    so it works with tracing globally off."""
-    from repro.engine.evaluator import Evaluator, RuleSet
+    Runs through :func:`repro.runtime.workspace.run_query`, the entry
+    ``query`` uses, so the answer path and the backend setting are the
+    ones ``query`` takes.  The chooser is consulted for every rule, and
+    each join's executor follows the order it picks, so a join may run
+    on another executor than under ``query``'s default order.  Plans and
+    columnar setups land in ``plan_cache``.  The run is collected under
+    a private :class:`~repro.obs.Profile` so it works with tracing
+    globally off."""
     from repro.engine.ir import PredAtom
     from repro.engine.optimizer import SamplingOptimizer
-    from repro.logiql.compiler import compile_program
-    from repro.runtime.errors import TransactionAborted
-    from repro.storage.relation import Relation
+    from repro.runtime.workspace import run_query
 
     started = time.perf_counter()
-    block = compile_program(source)
-    if block.reactive_rules:
-        raise TransactionAborted("queries cannot contain reactive rules")
-    ruleset = RuleSet(block.rules)
-    env = state.env_with_defaults()
-    for rule in block.rules:
-        for atom in rule.body:
-            if isinstance(atom, PredAtom) and atom.pred not in env:
-                if atom.pred not in ruleset.derived:
-                    env[atom.pred] = Relation.empty(len(atom.args))
     optimizer = SamplingOptimizer(
         sample_size=sample_size, max_candidates=max_candidates
     )
-    evaluator = Evaluator(
-        ruleset,
-        order_chooser=optimizer,
-        prefer_array=False,
-        plan_cache=None,
-        backend=backend,
-    )
     with _core.Profile() as prof:
         with _core.span("explain", chars=len(source)):
-            relations, _ = evaluator.evaluate(env)
+            run = run_query(
+                state, source, answer, plan_cache=plan_cache, backend=backend,
+                order_chooser=optimizer,
+            )
     wall_s = time.perf_counter() - started
-    if answer is None:
-        answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
-    rows = sorted(relations[answer])
 
     joins_by_rule = {}
     for span_ in prof.find_all("join"):
         joins_by_rule.setdefault(span_.attrs.get("rule"), []).append(span_)
 
     report_rules = []
-    for rule in block.rules:
+    for rule in run.block.rules:
         label = rule.name or rule.head_pred
         spans = joins_by_rule.get(label, ())
         if not spans and not any(
@@ -244,7 +228,7 @@ def explain_query(state, source, answer=None, *, backend=None,
             continue
         actual = sum(_actual_steps(s) for s in spans)
         produced = sum(s.attrs.get("rows", 0) for s in spans)
-        prediction = optimizer.explain_rule(rule, relations)
+        prediction = optimizer.explain_rule(rule, run.relations)
         entry = {
             "rule": label,
             "executions": len(spans),
@@ -268,6 +252,6 @@ def explain_query(state, source, answer=None, *, backend=None,
         report_rules.append(entry)
 
     return ExplainReport(
-        source, answer, len(rows), wall_s,
-        evaluator.backend, report_rules,
+        source, run.answer, len(run.rows), wall_s,
+        run.evaluator.backend, report_rules,
     )

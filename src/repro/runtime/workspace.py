@@ -17,6 +17,7 @@ The transaction types of the paper:
 Aborting is simply not advancing the head: there is no undo log (T4).
 """
 
+import collections
 import contextlib
 import itertools
 import time
@@ -36,13 +37,27 @@ from repro.storage.relation import Delta, Relation
 _block_counter = itertools.count(1)
 
 
-def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None):
-    """Evaluate a query program against one pinned workspace state.
+#: One evaluated query: its compiled block, answer predicate, the
+#: evaluator that ran it, the relations derived on the way, and the
+#: sorted answer rows.
+QueryRun = collections.namedtuple(
+    "QueryRun", "block answer evaluator relations rows"
+)
 
-    Shared by :meth:`Workspace.query` (which evaluates at the branch
-    head) and the service layer's lock-free readers (which pin a head
-    snapshot and evaluate while the head moves on).  Returns the sorted
-    rows of the designated answer predicate.
+
+def run_query(state, source, answer=None, *, plan_cache=None, backend=None,
+              order_chooser=None):
+    """Compile and evaluate a query program against one pinned state.
+
+    The single query entry: :func:`evaluate_query` and EXPLAIN ANALYZE
+    (:func:`repro.obs.explain_query`) both run through it, so they
+    share the compile, the reactive-rule rejection, the defaults for
+    unknown predicates, the answer choice, the answer path
+    (:meth:`~repro.engine.evaluator.Evaluator.answer`) and the backend
+    setting.  Which executor a join runs on still depends on its
+    variable order, so a run with an ``order_chooser`` may pick another
+    one than the planner's default order would.  Returns a
+    :class:`QueryRun`.
     """
     with _obs.span("compile", chars=len(source)):
         block = compile_program(source)
@@ -55,15 +70,30 @@ def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None)
             if isinstance(atom, PredAtom) and atom.pred not in env:
                 if atom.pred not in ruleset.derived:
                     env[atom.pred] = Relation.empty(len(atom.args))
-    relations, _ = Evaluator(
+    if answer is None:
+        answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
+    evaluator = Evaluator(
         ruleset,
+        order_chooser=order_chooser,
         prefer_array=False,
         plan_cache=plan_cache,
         backend=backend,
-    ).evaluate(env)
-    if answer is None:
-        answer = "_" if "_" in ruleset.derived else block.rules[-1].head_pred
-    return sorted(relations[answer])
+    )
+    relations, rows = evaluator.answer(env, answer)
+    return QueryRun(block, answer, evaluator, relations, rows)
+
+
+def evaluate_query(state, source, answer=None, *, plan_cache=None, backend=None):
+    """Evaluate a query program against one pinned workspace state.
+
+    Shared by :meth:`Workspace.query` (which evaluates at the branch
+    head) and the service layer's lock-free readers (which pin a head
+    snapshot and evaluate while the head moves on).  Returns the sorted
+    rows of the designated answer predicate.
+    """
+    return run_query(
+        state, source, answer, plan_cache=plan_cache, backend=backend
+    ).rows
 
 
 class _TypeViolation:
@@ -111,9 +141,11 @@ class Workspace:
     transactions, IVM passes, and program edits.
 
     ``engine`` picks the join backend for every evaluator this
-    workspace creates: ``"pure"`` or ``"columnar"`` (vectorized over
-    dictionary-encoded numpy arrays); ``None`` defers to the
-    ``REPRO_ENGINE`` environment override, defaulting to pure.
+    workspace creates: ``"columnar"`` (vectorized over
+    dictionary-encoded numpy arrays wherever its setup is paid for,
+    pure LFTJ elsewhere) or ``"pure"`` (the oracle, everywhere);
+    ``None`` defers to the ``REPRO_ENGINE`` environment override,
+    defaulting to columnar.
     """
 
     def __init__(self, *, engine=None):
@@ -361,6 +393,7 @@ class Workspace:
             source,
             answer,
             backend=self._engine_backend,
+            plan_cache=self._plan_cache,
         )
 
     def _rebuild(self, state, new_blocks, block_name, block):

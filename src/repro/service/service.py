@@ -386,6 +386,7 @@ class TransactionService:
                     source,
                     answer,
                     plan_cache=self.workspace._plan_cache,
+                    backend=self.workspace._engine_backend,
                 )
             if span_ is not None:
                 span_.attrs["rows"] = len(rows)
@@ -1186,6 +1187,7 @@ class TransactionService:
             source,
             answer,
             backend=self.workspace._engine_backend,
+            plan_cache=self.workspace._plan_cache,
         )
 
     # -- sessions --------------------------------------------------------------

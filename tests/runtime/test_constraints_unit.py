@@ -43,6 +43,32 @@ class TestCompiledConstraint:
         violations = compiled.check(relations)
         assert violations == [{"p": "b"}]
 
+    def test_wildcards_on_both_sides_are_independent(self):
+        # each side's `_` is its own existential: p[1] = 3 only needs
+        # some q[1], whatever its value
+        constraint = constraint_of("p[s] = _ -> q[s] = _.")
+        compiled = CompiledConstraint(constraint)
+        relations = {
+            "p": Relation.from_iter(2, [(1, 3), (2, 3)]),
+            "q": Relation.from_iter(2, [(1, 7)]),
+        }
+        assert compiled.check(relations) == [{"s": 2}]
+
+    def test_wildcards_on_both_sides_through_a_workspace(self):
+        from repro import Workspace
+        from repro.runtime.errors import ConstraintViolation
+
+        ws = Workspace()
+        ws.addblock(
+            "p[s] = v -> int(s), int(v). q[s] = v -> int(s), int(v). "
+            "p[s] = _ -> q[s] = _."
+        )
+        ws.load("q", [(1, 7)])
+        ws.load("p", [(1, 3)])
+        assert ws.rows("p") == [(1, 3)]
+        with pytest.raises(ConstraintViolation):
+            ws.load("p", [(2, 3)])
+
     def test_missing_predicates_default_empty(self):
         constraint = constraint_of("Product(p) -> Stock[p] = _.")
         compiled = CompiledConstraint(constraint)

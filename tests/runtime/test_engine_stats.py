@@ -87,6 +87,22 @@ class TestWorkspaceIsolation:
         assert results["a"] == results["b"]
         assert results["a"].get("ivm.applies", 0) == 2
 
+    def test_columnar_join_setups_are_per_workspace(self):
+        """Equal data in two workspaces: each builds its own columnar
+        join setup, so its counters never depend on the other's work."""
+        counts = []
+        for _ in range(2):
+            ws = Workspace(engine="columnar")
+            ws.addblock(SCHEMA)
+            ws.load("edge", EDGES)
+            ws.reset_engine_stats()
+            ws.query("_(x, y) <- edge(x, y), x < y.")
+            ws.query("_(x, y) <- edge(x, y), x < y.")
+            stats = ws.engine_stats()
+            counts.append((stats.get("join.columnar_setups", 0),
+                           stats.get("join.columnar_setup_hits", 0)))
+        assert counts == [(1, 1), (1, 1)]
+
     def test_sequential_workspaces_count_independently(self):
         ws1 = Workspace()
         ws1.addblock(SCHEMA)
