@@ -456,15 +456,14 @@ class NetSession:
     # -- cross-shard commit circuit (used by repro.shard) ----------------------
 
     def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, preflight=True,
-                      timeout=None):
+                      shard_index=None, shard_count=None, timeout=None):
         """Execute a transaction on the shard's snapshot and park it;
         returns ``{"token", "effects", "foreign", "watermark"}`` with
         the deltas decoded back into :class:`Delta` maps."""
         result, _ = self._call(
             "shard_prepare", source=source, name=name, partition=partition,
             shard_index=shard_index, shard_count=shard_count,
-            preflight=preflight, timeout=self._timeout(timeout))
+            timeout=self._timeout(timeout))
         return {
             "token": result["token"],
             "effects": deltas_from_wire(result["effects"]),

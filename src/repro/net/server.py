@@ -533,7 +533,6 @@ class ReproServer:
                 partition=args.get("partition"),
                 shard_index=args.get("shard_index"),
                 shard_count=args.get("shard_count"),
-                preflight=args.get("preflight", True),
                 timeout=args.get("timeout"),
             )
             return respond({
@@ -680,7 +679,6 @@ def main(argv=None):
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         help="auto-checkpoint every N commits")
     parser.add_argument("--max-pending", type=int, default=64)
-    parser.add_argument("--mode", default="repair", choices=("repair", "occ"))
     parser.add_argument("--trace", default=None,
                         help="stream obs spans to this JSONL file")
     parser.add_argument("--telemetry-interval", type=float, default=1.0,
@@ -704,7 +702,6 @@ def main(argv=None):
         knobs["net_max_connections"] = args.max_connections
     service = TransactionService(config=ServiceConfig(
         max_pending=args.max_pending,
-        mode=args.mode,
         checkpoint_path=args.checkpoint_path,
         checkpoint_every_n_commits=args.checkpoint_every,
         telemetry_interval_s=args.telemetry_interval,

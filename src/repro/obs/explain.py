@@ -195,9 +195,11 @@ def explain_query(state, source, answer=None, *, backend=None, plan_cache=None,
     ones ``query`` takes.  The chooser is consulted for every rule, and
     each join's executor follows the order it picks, so a join may run
     on another executor than under ``query``'s default order.  Plans and
-    columnar setups land in ``plan_cache``.  The run is collected under
-    a private :class:`~repro.obs.Profile` so it works with tracing
-    globally off."""
+    columnar setups land in ``plan_cache``.  A private
+    :class:`~repro.obs.Profile` makes the run traced even with tracing
+    globally off; the joins are read from the ``explain`` span's own
+    subtree, which is a child, not a root, when the caller already has
+    a span open (a traced server request)."""
     from repro.engine.ir import PredAtom
     from repro.engine.optimizer import SamplingOptimizer
     from repro.runtime.workspace import run_query
@@ -206,8 +208,8 @@ def explain_query(state, source, answer=None, *, backend=None, plan_cache=None,
     optimizer = SamplingOptimizer(
         sample_size=sample_size, max_candidates=max_candidates
     )
-    with _core.Profile() as prof:
-        with _core.span("explain", chars=len(source)):
+    with _core.Profile():
+        with _core.span("explain", chars=len(source)) as root:
             run = run_query(
                 state, source, answer, plan_cache=plan_cache, backend=backend,
                 order_chooser=optimizer,
@@ -215,7 +217,7 @@ def explain_query(state, source, answer=None, *, backend=None, plan_cache=None,
     wall_s = time.perf_counter() - started
 
     joins_by_rule = {}
-    for span_ in prof.find_all("join"):
+    for span_ in root.find_all("join"):
         joins_by_rule.setdefault(span_.attrs.get("rule"), []).append(span_)
 
     report_rules = []

@@ -534,7 +534,7 @@ class Workspace:
         against ``state`` — *without* advancing any branch head.
 
         The staging half of :meth:`_apply_deltas`, also used on its own
-        by the shard-prepare preflight (:mod:`repro.shard`): a shard can
+        by ``shard_prepare`` (:mod:`repro.shard`): a shard can
         prove a prepared cross-shard transaction admissible against its
         fragment before the coordinator orders the commit.  Returns
         ``(new_state, all_deltas)``.

@@ -16,26 +16,18 @@ class ServiceConfig:
     * ``default_timeout_s`` — per-transaction deadline when the caller
       does not pass one; ``None`` disables deadlines.
 
-    Conflict handling:
+    Conflict handling.  The committer commits every transaction queued
+    when it wakes as one composed group, repairing each member
+    incrementally against the moved head and the members before it (one
+    IVM pass + one constraint check per group, the Figure 7(b) batch).
+    A conflict repair cannot absorb (a failed repair, an injected fault)
+    raises :class:`ConflictError`, and the writer retries from a fresh
+    snapshot:
 
-    * ``mode`` — ``"repair"`` (default): commit-time conflicts are
-      absorbed by incrementally repairing the transaction against the
-      moved head; ``"occ"``: first-committer-wins, conflicting
-      transactions raise :class:`ConflictError` and are retried from a
-      fresh snapshot (the classical optimistic baseline, useful for
-      exercising the retry machinery and as a comparison point).
     * ``max_retries`` — bounded retry budget after retryable conflicts.
     * ``backoff_base_s`` / ``backoff_cap_s`` — truncated exponential
       backoff between retries, with deterministic jitter drawn from a
       service-owned PRNG seeded by ``jitter_seed``.
-
-    Commit pipeline:
-
-    * ``group_commit`` — when True (default) the committer drains every
-      transaction queued at that moment and commits them as one
-      composed group (one IVM pass + one constraint check), the
-      Figure 7(b) batch discipline; when False each transaction is
-      applied individually.
 
     Durability (:mod:`repro.storage.pager`):
 
@@ -108,8 +100,6 @@ class ServiceConfig:
     backoff_base_s: float = 0.001
     backoff_cap_s: float = 0.05
     jitter_seed: int = 0
-    group_commit: bool = True
-    mode: str = "repair"
     checkpoint_path: str = None
     checkpoint_every_n_commits: int = 0
     checkpoint_on_shutdown: bool = True
@@ -143,8 +133,6 @@ class ServiceConfig:
                 raise ValueError(
                     "engine must be one of {}, got {!r}".format(
                         "/".join(BACKENDS), self.engine))
-        if self.mode not in ("repair", "occ"):
-            raise ValueError("mode must be 'repair' or 'occ', got {!r}".format(self.mode))
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if self.checkpoint_every_n_commits < 0:

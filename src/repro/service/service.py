@@ -11,11 +11,10 @@ branch-merge discipline:
   committer *diffs the snapshot against the moved head* (structural
   diffing via :mod:`repro.ds.diff`, cost proportional to what actually
   changed), restricts the diff to the transaction's recorded
-  sensitivities, and — in ``repair`` mode — merge-commits by
-  incrementally repairing the transaction under those corrections
-  (:mod:`repro.txn.repair`).  Irreconcilable conflicts (``occ`` mode,
-  repair failures, injected faults) surface as
-  :class:`~repro.runtime.errors.ConflictError`; the submitting thread
+  sensitivities, and merge-commits by incrementally repairing the
+  transaction under those corrections (:mod:`repro.txn.repair`).
+  Irreconcilable conflicts (repair failures, injected faults) surface
+  as :class:`~repro.runtime.errors.ConflictError`; the submitting thread
   retries on a fresh snapshot with truncated exponential backoff and
   deterministic jitter, up to the configured budget.
 
@@ -32,10 +31,11 @@ branch-merge discipline:
   version (one reference) and evaluate against that immutable snapshot
   while the head moves on.
 
-* **DDL** (``addblock``/``removeblock``/``load``) rides the same queue
-  as a *barrier*: the committer flushes the group in front of it, runs
-  the verb on the head, and continues — full serialization with the
-  write stream, no extra locking.
+* **DDL** (``addblock``/``removeblock``/``load``) and the shard
+  participant's commits ride the same queue as *barriers*: the
+  committer flushes the group in front of it, runs the verb on the
+  head, and continues — full serialization with the write stream, no
+  extra locking.
 
 * **Admission control** bounds the in-flight window and sheds load
   with typed :class:`Overloaded` errors; per-transaction deadlines
@@ -46,6 +46,7 @@ Instrumentation: ``service.*`` counters/histograms/gauges through
 ``service.query`` spans through :mod:`repro.obs`.
 """
 
+import contextlib
 import itertools
 import random
 import threading
@@ -62,14 +63,30 @@ from repro.runtime.errors import (
 )
 from repro.runtime.result import TxnResult
 from repro.runtime.workspace import Workspace, evaluate_query
-from repro.ds.hashing import stable_hash
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
-from repro.storage.relation import Delta, Relation
+from repro.shard.shardmap import ShardMap
+from repro.storage.relation import Relation
 from repro.txn.repair import PreparedTransaction, compose_corrections
 
 _txn_counter = itertools.count(1)
 _WAIT_SLICE_S = 0.05
+
+
+@contextlib.contextmanager
+def _committer_tracing(traced):
+    """Record spans on the committer thread when a submitter was tracing.
+
+    The committer has no collector of its own; a throwaway
+    :class:`~repro.obs.Profile` makes ``tracing()`` true here so real
+    spans are recorded, and the caller exports the span it captured
+    (serialized, closed) for the submitter to graft into its trace —
+    which is how one distributed transaction becomes one span tree."""
+    if traced and not _obs.tracing():
+        with _obs.Profile():
+            yield
+    else:
+        yield
 
 
 class _Pending:
@@ -83,9 +100,9 @@ class _Pending:
     span tree after commit, for grafting into the submitter's trace."""
 
     __slots__ = ("txn", "source", "snapshot", "ticket", "event", "error",
-                 "committed", "attempt", "sink", "traced", "commit_span")
+                 "committed", "attempt", "traced", "commit_span")
 
-    def __init__(self, txn, source, snapshot, ticket, attempt, sink):
+    def __init__(self, txn, source, snapshot, ticket, attempt):
         self.txn = txn
         self.source = source
         self.snapshot = snapshot
@@ -94,15 +111,16 @@ class _Pending:
         self.error = None
         self.committed = False
         self.attempt = attempt
-        self.sink = sink
         self.traced = _obs.tracing()
         self.commit_span = None
 
 
 class _Barrier:
-    """A verb the committer must run serialized with the write stream."""
+    """A verb the committer must run serialized with the write stream.
+    ``traced`` and ``commit_span`` work as on :class:`_Pending`."""
 
-    __slots__ = ("fn", "kind", "ticket", "event", "error", "result")
+    __slots__ = ("fn", "kind", "ticket", "event", "error", "result",
+                 "traced", "commit_span")
 
     def __init__(self, fn, kind, ticket):
         self.fn = fn
@@ -111,6 +129,8 @@ class _Barrier:
         self.event = threading.Event()
         self.error = None
         self.result = None
+        self.traced = _obs.tracing()
+        self.commit_span = None
 
 
 class _ShardHeld:
@@ -124,49 +144,6 @@ class _ShardHeld:
         self.source = source
         self.snapshot = snapshot
         self.ticket = ticket
-
-
-class _ShardTxn:
-    """Commit-stage stand-in for a coordinator-composed transaction.
-
-    The coordinator has already run the cross-shard repair circuit over
-    every shard's branch diff; the deltas it orders committed are final.
-    If the local head moved under the prepared snapshot in a way that
-    touches the transaction's reads *or* its composed writes, the only
-    safe outcome is a :class:`ConflictError` — a local repair here would
-    diverge this shard from the siblings the coordinator already
-    reconciled, so the coordinator re-runs the whole circuit instead.
-    """
-
-    __slots__ = ("name", "effects", "_inner")
-
-    def __init__(self, inner, effects):
-        self._inner = inner
-        self.name = inner.name
-        self.effects = effects
-
-    @property
-    def repair_count(self):
-        return self._inner.repair_count
-
-    def relevant_corrections(self, corrections):
-        relevant = dict(self._inner.relevant_corrections(corrections))
-        for pred, delta in corrections.items():
-            if pred in self.effects and pred not in relevant:
-                relevant[pred] = delta
-        return relevant
-
-    def correct(self, relevant):
-        raise ConflictError(
-            "cross-shard transaction {} invalidated by a local commit; "
-            "the coordinator must re-run the circuit".format(self.name),
-            preds=relevant,
-        )
-
-    def execute(self, state):
-        """No-op for the serial-commit fallback: the composed deltas are
-        coordinator-final and must be applied verbatim or not at all."""
-        return self.effects
 
 
 class TransactionService:
@@ -456,7 +433,7 @@ class TransactionService:
                     "transaction {} missed its deadline before commit".format(name),
                     deadline_s=ticket.deadline,
                 )
-            pending = _Pending(txn, source, snapshot, ticket, attempt, sink)
+            pending = _Pending(txn, source, snapshot, ticket, attempt)
             self._enqueue(pending)
             self._await(pending)
             if pending.committed:
@@ -525,17 +502,24 @@ class TransactionService:
             with _stats.scope(call_sink):
                 ticket = self._admission.admit(kind=kind, timeout_s=timeout)
                 try:
-                    barrier = _Barrier(fn, kind, ticket)
-                    self._enqueue(barrier)
-                    self._await(barrier)
-                    if barrier.error is not None:
-                        _stats.bump("service.aborts")
-                        raise barrier.error
-                    return barrier.result
+                    return self._run_as_barrier(fn, kind, ticket)
                 finally:
                     self._admission.release(ticket)
         finally:
             self._merge_stats(call_sink)
+
+    def _run_as_barrier(self, fn, kind, ticket):
+        """Queue ``fn`` as a barrier under an admitted ``ticket``, wait
+        for the committer to run it, and graft its committer-side span."""
+        barrier = _Barrier(fn, kind, ticket)
+        self._enqueue(barrier)
+        self._await(barrier)
+        if barrier.commit_span is not None:
+            _obs.graft(barrier.commit_span, origin="committer")
+        if barrier.error is not None:
+            _stats.bump("service.aborts")
+            raise barrier.error
+        return barrier.result
 
     # -- client surface: cross-shard commit circuit ----------------------------
     #
@@ -577,38 +561,6 @@ class TransactionService:
                     supplied[0], supplied[1], configured[0], configured[1]))
         return supplied
 
-    @staticmethod
-    def _split_effects(effects, partition, index, count):
-        """Split a delta map into rows this shard owns (replicated
-        predicates, plus partitioned rows hashing here) and *foreign*
-        rows the coordinator must redistribute to their owners."""
-        partition = partition or {}
-        own = {}
-        foreign = {}
-        for pred, delta in effects.items():
-            col = partition.get(pred)
-            if col is None:
-                if delta.added or delta.removed:
-                    own[pred] = delta
-                continue
-            mine_added, mine_removed = [], []
-            theirs_added, theirs_removed = [], []
-            for row in delta.added:
-                if stable_hash(row[col]) % count == index:
-                    mine_added.append(row)
-                else:
-                    theirs_added.append(row)
-            for row in delta.removed:
-                if stable_hash(row[col]) % count == index:
-                    mine_removed.append(row)
-                else:
-                    theirs_removed.append(row)
-            if mine_added or mine_removed:
-                own[pred] = Delta.from_iters(mine_added, mine_removed)
-            if theirs_added or theirs_removed:
-                foreign[pred] = Delta.from_iters(theirs_added, theirs_removed)
-        return own, foreign
-
     def _shard_pop(self, token):
         with self._shard_lock:
             return self._shard_held.pop(token, None)
@@ -621,8 +573,7 @@ class TransactionService:
         return held
 
     def shard_prepare(self, source, *, name=None, partition=None,
-                      shard_index=None, shard_count=None, preflight=True,
-                      timeout=None):
+                      shard_index=None, shard_count=None, timeout=None):
         """Phase 1 of a cross-shard commit: execute ``source`` against
         this shard's head snapshot and park the prepared transaction
         under a token.
@@ -630,10 +581,10 @@ class TransactionService:
         Returns ``{"token", "effects", "foreign", "watermark"}`` where
         ``effects`` holds the deltas this shard owns and ``foreign``
         the partitioned rows owned by sibling shards (the coordinator
-        redistributes those).  With ``preflight`` (default) the owned
-        deltas are staged — maintenance plus constraint check — against
-        the snapshot, so obvious violations surface before any shard
-        commits; nothing is applied to the head either way.
+        redistributes those).  The owned deltas are staged —
+        maintenance plus constraint check — against the snapshot, so
+        violations surface before any shard commits; nothing is applied
+        to the head.
         """
         self._ensure_open()
         index, count = self._resolve_shard_identity(shard_index, shard_count)
@@ -651,9 +602,10 @@ class TransactionService:
                         snapshot = self.workspace.version()
                         txn = self._prepare(source, name)
                         txn.execute(snapshot.state)
-                        own, foreign = self._split_effects(
-                            txn.effects, partition, index, count)
-                        if preflight and own:
+                        own, foreign = ShardMap(
+                            count, partition).owned_and_foreign(
+                                index, txn.effects)
+                        if own:
                             # stage (validate + maintain + check) without
                             # touching the head: constraint violations
                             # abort the circuit before any shard commits
@@ -695,8 +647,9 @@ class TransactionService:
                     if relevant:
                         _stats.bump("shard.repairs")
                         held.txn.correct(relevant)
-                    own, foreign = self._split_effects(
-                        held.txn.effects, partition, index, count)
+                    own, foreign = ShardMap(
+                        count, partition).owned_and_foreign(
+                            index, held.txn.effects)
                     return {
                         "effects": own,
                         "foreign": foreign,
@@ -707,55 +660,68 @@ class TransactionService:
 
     def shard_commit(self, token, deltas, *, timeout=None):
         """Phase 3: commit a parked shard transaction with the
-        coordinator's final composed deltas.
+        coordinator's final composed deltas, as a barrier serialized
+        with the write stream (the parked deadline applies).
 
-        The commit rides the ordinary pipeline from the parked
-        snapshot; if a local write slipped in since prepare, the
-        conflict is *not* repaired locally (that would diverge this
-        shard from its siblings, which already agreed on ``deltas``) —
-        it raises :class:`ConflictError` and the coordinator re-runs
-        the whole circuit."""
+        If a local write slipped in since prepare and touches the
+        transaction's reads or a predicate in ``deltas``, the conflict
+        is *not* repaired locally (that would diverge this shard from
+        its siblings, which already agreed on ``deltas``): it raises
+        :class:`ConflictError` and the coordinator re-runs the whole
+        circuit."""
         self._ensure_open()
         held = self._shard_pop(token)
         if held is None:
             raise ReproError(
                 "unknown shard transaction token {!r}".format(token))
+        deltas = dict(deltas)
         started = time.perf_counter()
         call_sink = {}
         try:
             with _stats.scope(call_sink):
                 _stats.bump("shard.commits")
-                try:
-                    with _obs.span("shard.commit", txn=held.txn.name):
-                        txn = _ShardTxn(held.txn, dict(deltas))
-                        sink = {}
-                        pending = _Pending(
-                            txn, held.source, held.snapshot, held.ticket,
-                            1, sink)
-                        self._enqueue(pending)
-                        self._await(pending)
-                        if pending.committed:
-                            if pending.commit_span is not None:
-                                _obs.graft(
-                                    pending.commit_span, origin="committer")
-                            _stats.observe(
-                                "service.commit.seconds",
-                                time.perf_counter() - started)
-                            return TxnResult(
-                                status="committed",
-                                kind="exec",
-                                deltas=dict(txn.effects),
-                                stats=sink,
-                                attempts=1,
-                                repairs=txn.repair_count,
-                                latency_s=time.perf_counter() - started,
-                            )
-                        _stats.bump("service.aborts")
-                        raise pending.error
-                finally:
-                    self._admission.release(held.ticket)
+                with _obs.span("shard.commit", txn=held.txn.name):
+                    result = self._run_as_barrier(
+                        lambda ws: self._commit_shard(held, deltas),
+                        "shard_commit", held.ticket)
+                    elapsed = time.perf_counter() - started
+                    _stats.observe("service.commit.seconds", elapsed)
+                    result.latency_s = elapsed
+                    return result
         finally:
+            self._admission.release(held.ticket)
             self._merge_stats(call_sink)
+
+    def _commit_shard(self, held, deltas):
+        """Barrier body of :meth:`shard_commit` (committer thread)."""
+        txn = held.txn
+        self._fire("commit", txn.name)
+        head = self.workspace.version()
+        corrections = self._corrections_since(held.snapshot, head, {})
+        relevant = (
+            dict(txn.relevant_corrections(corrections))
+            if corrections else {}
+        )
+        for pred in deltas:
+            if pred in corrections:
+                relevant.setdefault(pred, corrections[pred])
+        if relevant:
+            _stats.bump("service.conflicts")
+            raise ConflictError(
+                "cross-shard transaction {} invalidated by a local commit; "
+                "the coordinator must re-run the circuit".format(txn.name),
+                preds=relevant,
+            )
+        if deltas:
+            self.workspace._apply_deltas(head.state, deltas)
+        self._record_commit(txn, held.source, 1, deltas)
+        return TxnResult(
+            status="committed",
+            kind="exec",
+            deltas=deltas,
+            attempts=1,
+            repairs=txn.repair_count,
+        )
 
     def shard_abort(self, token):
         """Drop a parked shard transaction (idempotent)."""
@@ -864,10 +830,6 @@ class TransactionService:
         for item in batch:
             if isinstance(item, _Pending):
                 group.append(item)
-                if self.config.group_commit:
-                    continue
-                self._commit_group([item])
-                group = []
                 continue
             if group:
                 self._commit_group(group)
@@ -882,7 +844,11 @@ class TransactionService:
                 _stats.bump("service.timeouts")
                 raise TxnTimeout(
                     "{} barrier missed its deadline".format(barrier.kind))
-            barrier.result = barrier.fn(self.workspace)
+            with _committer_tracing(barrier.traced):
+                with _obs.span("service.barrier", kind=barrier.kind) as span_:
+                    barrier.result = barrier.fn(self.workspace)
+            if span_ is not None:
+                barrier.commit_span = span_.to_dict()
             if barrier.kind in ("addblock", "removeblock", "load", "shard_apply"):
                 self._commits_since_checkpoint += 1
                 # DDL moves state too: advance the watermark so
@@ -897,23 +863,12 @@ class TransactionService:
         """Compose and commit one group of executed transactions.
 
         When any member's submitter was tracing, the committer records
-        the ``service.commit_batch`` span even though this thread has
-        no collector of its own, *closes* it (so wall time and counter
-        deltas are final), and only then hands the serialized span tree
-        to the committed members and fires their events — the waiting
-        writers graft it into their own traces, which is how one
-        distributed transaction becomes one span tree.
+        the ``service.commit_batch`` span (:func:`_committer_tracing`),
+        *closes* it (so wall time and counter deltas are final), and
+        only then hands the serialized span tree to the committed
+        members and fires their events.
         """
-        needs_collector = (
-            not _obs.tracing() and any(p.traced for p in group)
-        )
-        if needs_collector:
-            # a throwaway collector: it makes tracing() true on this
-            # thread so real spans are recorded; the root is exported
-            # via the captured span object, not the profile
-            with _obs.Profile():
-                committed, batch_span = self._commit_members(group)
-        else:
+        with _committer_tracing(any(p.traced for p in group)):
             committed, batch_span = self._commit_members(group)
         span_dict = batch_span.to_dict() if batch_span is not None else None
         for pending in committed:
@@ -927,12 +882,11 @@ class TransactionService:
         closed.  Members that abort or time out get their events set
         immediately (there is nothing to graft for them).
 
-        Members are repaired (or conflicted, in ``occ`` mode) against
-        the head diff plus the accumulated effects of earlier members,
-        then the composite delta is applied through one IVM pass and
-        one constraint check (the Figure 7(b) batch).  A constraint
-        violation in the composite falls back to serial re-execution so
-        only the violating member aborts.
+        Members are repaired against the head diff plus the accumulated
+        effects of earlier members, then the composite delta is applied
+        through one IVM pass and one constraint check (the Figure 7(b)
+        batch).  A constraint violation in the composite falls back to
+        serial re-execution so only the violating member aborts.
         """
         committed = []
         batch_span = None
@@ -965,10 +919,6 @@ class TransactionService:
                     )
                     if relevant:
                         _stats.bump("service.conflicts")
-                        if self.config.mode == "occ":
-                            raise ConflictError(
-                                "snapshot invalidated by a committed "
-                                "transaction", preds=relevant)
                         self._fire("repair", pending.txn.name)
                         _stats.bump("service.repair_merges")
                         repaired += 1
@@ -1034,19 +984,26 @@ class TransactionService:
         without firing their events; the committer does that after the
         batch span has closed so waiters never see a half-built span."""
         for pending in members:
-            seq = next(self._commit_seq)
-            self._watermark = seq
-            self._history.append({
-                "seq": seq,
-                "txn": pending.txn.name,
-                "source": pending.source,
-                "attempt": pending.attempt,
-                "repairs": pending.txn.repair_count,
-                "preds": sorted(pending.txn.effects),
-            })
-            _stats.bump("service.commits")
-            self._commits_since_checkpoint += 1
+            self._record_commit(
+                pending.txn, pending.source, pending.attempt,
+                pending.txn.effects)
             pending.committed = True
+
+    def _record_commit(self, txn, source, attempt, effects):
+        """Advance the watermark and append one history entry
+        (committer thread only)."""
+        seq = next(self._commit_seq)
+        self._watermark = seq
+        self._history.append({
+            "seq": seq,
+            "txn": txn.name,
+            "source": source,
+            "attempt": attempt,
+            "repairs": txn.repair_count,
+            "preds": sorted(effects),
+        })
+        _stats.bump("service.commits")
+        self._commits_since_checkpoint += 1
 
     def _corrections_since(self, snapshot, head, cache):
         """Base + derived deltas turning ``snapshot`` into ``head``.

@@ -106,6 +106,29 @@ class ShardCommitError(ShardError):
     committed shards failed: the fleet needs operator attention."""
 
 
+def _merge_rows(into, pred, added, removed):
+    """The coordinator's one delta merge: union rows into
+    ``into[pred] = (added_set, removed_set)``.  A row both added and
+    removed means the shards' writes disagree on it, which no
+    composition can commit: :class:`ShardError`."""
+    into_added, into_removed = into.setdefault(pred, (set(), set()))
+    into_added.update(added)
+    into_removed.update(removed)
+    conflict = into_added & into_removed
+    if conflict:
+        raise ShardError(
+            "shards disagree on {}: {} both added and removed".format(
+                pred, sorted(conflict)[:3]))
+
+
+def _as_deltas(merged):
+    """``{pred: (added_set, removed_set)}`` as non-empty, sorted Deltas."""
+    return {
+        pred: Delta.from_iters(sorted(added), sorted(removed))
+        for pred, (added, removed) in merged.items() if added or removed
+    }
+
+
 def _union_rows(row_lists):
     merged = set()
     for rows in row_lists:
@@ -567,8 +590,9 @@ class ShardedWorkspace:
             _stats.bump("shard.circuits")
             try:
                 own = {i: dict(p["effects"]) for i, p in prepared.items()}
-                incoming = self._redistribute(
-                    {i: p["foreign"] for i, p in prepared.items()})
+                incoming = {i: {} for i in range(n)}
+                for entry in prepared.values():
+                    self._redistribute(entry["foreign"], incoming)
                 repairs = self._repair_circuit(
                     prepared, own, incoming, partition)
                 final = self._compose_final(own, incoming)
@@ -599,24 +623,17 @@ class ShardedWorkspace:
             raise failed[0][1]
         return dict(enumerate(results))
 
-    def _redistribute(self, foreign):
-        """Foreign rows (written by one shard, owned by another) routed
-        to their owners; returns per-shard ``{pred: (added, removed)}``
-        row sets."""
-        incoming = {i: {} for i in range(self.shard_map.n_shards)}
+    def _redistribute(self, foreign, incoming):
+        """Route one shard's foreign rows (written there, owned by a
+        sibling) to their owners: merged into ``incoming[owner]``."""
         moved = 0
-        for index, effects in foreign.items():
-            for pred, delta in effects.items():
-                for owner, part in self.shard_map.split_delta(
-                        pred, delta).items():
-                    added, removed = incoming[owner].setdefault(
-                        pred, (set(), set()))
-                    added.update(part.added)
-                    removed.update(part.removed)
-                    moved += len(part)
+        for pred, delta in foreign.items():
+            for owner, part in self.shard_map.split_delta(
+                    pred, delta).items():
+                _merge_rows(incoming[owner], pred, part.added, part.removed)
+                moved += len(part)
         if moved:
             _stats.bump("shard.redistributed_rows", moved)
-        return incoming
 
     def _corrections_for(self, index, own, incoming):
         """Everything shard ``index`` must learn from its siblings:
@@ -625,34 +642,20 @@ class ShardedWorkspace:
         owns.  Returned as ``{pred: (added_set, removed_set)}``."""
         partition = self.shard_map.partition
         totals = {}
-        mine = own[index]
         for other, effects in own.items():
             if other == index:
                 continue
             for pred, delta in effects.items():
-                if pred in partition:
-                    continue  # partitioned rows travel via redistribute
-                added, removed = totals.setdefault(pred, (set(), set()))
-                added.update(delta.added)
-                removed.update(delta.removed)
+                if pred not in partition:  # partitioned: redistributed
+                    _merge_rows(totals, pred, delta.added, delta.removed)
         for pred, (added, removed) in totals.items():
-            conflict = added & removed
-            if conflict:
-                raise ShardError(
-                    "shards disagree on replicated {}: {} both added "
-                    "and removed".format(pred, sorted(conflict)[:3]))
-            own_delta = mine.get(pred)
+            own_delta = own[index].get(pred)
             if own_delta is not None:
                 added.difference_update(own_delta.added)
                 removed.difference_update(own_delta.removed)
         for pred, (added, removed) in incoming[index].items():
-            tadded, tremoved = totals.setdefault(pred, (set(), set()))
-            tadded.update(added)
-            tremoved.update(removed)
-        return {
-            pred: pair for pred, pair in totals.items()
-            if pair[0] or pair[1]
-        }
+            _merge_rows(totals, pred, added, removed)
+        return totals
 
     def _repair_circuit(self, prepared, own, incoming, partition):
         """Left-to-right repair until no shard learns anything new
@@ -664,34 +667,26 @@ class ShardedWorkspace:
         for _ in range(_MAX_REPAIR_PASSES):
             changed = False
             for index in range(n):
-                totals = self._corrections_for(index, own, incoming)
+                seen = delivered[index]
                 fresh = {}
-                for pred, (added, removed) in totals.items():
-                    seen_added, seen_removed = delivered[index].setdefault(
-                        pred, (set(), set()))
-                    new_added = added - seen_added
-                    new_removed = removed - seen_removed
+                for pred, (added, removed) in self._corrections_for(
+                        index, own, incoming).items():
+                    seen_added, seen_removed = seen.get(pred, ((), ()))
+                    new_added = added.difference(seen_added)
+                    new_removed = removed.difference(seen_removed)
                     if new_added or new_removed:
-                        fresh[pred] = Delta.from_iters(
-                            sorted(new_added), sorted(new_removed))
-                        seen_added.update(new_added)
-                        seen_removed.update(new_removed)
+                        _merge_rows(seen, pred, new_added, new_removed)
+                        fresh[pred] = (new_added, new_removed)
                 if not fresh:
                     continue
                 changed = True
                 repairs += 1
                 _stats.bump("shard.repaired_members")
                 reply = self._pool.backend(index).shard_repair(
-                    prepared[index]["token"], fresh,
+                    prepared[index]["token"], _as_deltas(fresh),
                     partition=partition, shard_index=index, shard_count=n)
                 own[index] = dict(reply["effects"])
-                for pred, delta in reply["foreign"].items():
-                    for owner, part in self.shard_map.split_delta(
-                            pred, delta).items():
-                        added, removed = incoming[owner].setdefault(
-                            pred, (set(), set()))
-                        added.update(part.added)
-                        removed.update(part.removed)
+                self._redistribute(reply["foreign"], incoming)
             if not changed:
                 return repairs
         raise ShardError(
@@ -707,42 +702,18 @@ class ShardedWorkspace:
         replicated = {}
         for effects in own.values():
             for pred, delta in effects.items():
-                if pred in partition:
-                    continue
-                added, removed = replicated.setdefault(pred, (set(), set()))
-                added.update(delta.added)
-                removed.update(delta.removed)
-        for pred, (added, removed) in replicated.items():
-            conflict = added & removed
-            if conflict:
-                raise ShardError(
-                    "shards disagree on replicated {}: {} both added "
-                    "and removed".format(pred, sorted(conflict)[:3]))
+                if pred not in partition:
+                    _merge_rows(replicated, pred, delta.added, delta.removed)
+        shared = _as_deltas(replicated)
         final = {}
         for index in range(self.shard_map.n_shards):
-            deltas = {}
-            for pred, (added, removed) in replicated.items():
-                if added or removed:
-                    deltas[pred] = Delta.from_iters(
-                        sorted(added), sorted(removed))
             owned = {}
             for pred, delta in own[index].items():
                 if pred in partition:
-                    owned[pred] = (set(delta.added), set(delta.removed))
+                    _merge_rows(owned, pred, delta.added, delta.removed)
             for pred, (added, removed) in incoming[index].items():
-                oadded, oremoved = owned.setdefault(pred, (set(), set()))
-                oadded.update(added)
-                oremoved.update(removed)
-            for pred, (added, removed) in owned.items():
-                conflict = added & removed
-                if conflict:
-                    raise ShardError(
-                        "conflicting add/remove of {} rows {}".format(
-                            pred, sorted(conflict)[:3]))
-                if added or removed:
-                    deltas[pred] = Delta.from_iters(
-                        sorted(added), sorted(removed))
-            final[index] = deltas
+                _merge_rows(owned, pred, added, removed)
+            final[index] = {**shared, **_as_deltas(owned)}
         return final
 
     def _commit_all(self, prepared, final, timeout):

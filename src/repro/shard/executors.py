@@ -54,32 +54,6 @@ class ShardExecutorPool:
         return [self.submit(i, verb, *args, **kwargs)
                 for i in range(len(self._backends))]
 
-    def map(self, verb, per_shard_args):
-        """``verb`` against every shard with per-shard positional args
-        (``per_shard_args[i]`` is the tuple for shard ``i``); futures
-        in shard order."""
-        self._check_open()
-        _stats.bump("shard.fanouts")
-        return [self.submit(i, verb, *args)
-                for i, args in enumerate(per_shard_args)]
-
-    @staticmethod
-    def gather(futures):
-        """Results of ``futures`` in order.  Waits for *all* of them
-        before raising, so no shard call is left running when the
-        caller starts error handling; re-raises the first failure."""
-        done = [None] * len(futures)
-        first_error = None
-        for index, future in enumerate(futures):
-            try:
-                done[index] = future.result()
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return done
-
     def close(self):
         if self._closed:
             return

@@ -101,6 +101,28 @@ class ShardMap:
                 out[index] = Delta.from_iters(added[index], removed[index])
         return out
 
+    def owned_and_foreign(self, index, effects):
+        """Split a delta map written on shard ``index`` into the deltas
+        it owns (replicated predicates, plus partitioned rows placed on
+        it) and the *foreign* partitioned rows its siblings own; empty
+        deltas are dropped."""
+        from repro.storage.relation import Delta
+
+        own, foreign = {}, {}
+        for pred, delta in effects.items():
+            if pred not in self.partition:
+                if delta:
+                    own[pred] = delta
+                continue
+            mine = self.split_delta(pred, delta).get(index, Delta())
+            rest = Delta(delta.added - mine.added,
+                         delta.removed - mine.removed)
+            if mine:
+                own[pred] = mine
+            if rest:
+                foreign[pred] = rest
+        return own, foreign
+
     # -- manifest --------------------------------------------------------------
 
     def manifest(self):

@@ -24,6 +24,17 @@ def server():
 
 
 @pytest.fixture()
+def untraced():
+    """Force tracing off for one test: the suite may run under
+    ``REPRO_TRACE=1``, whose ambient ring would make these tests'
+    "nothing is traced" assertions false."""
+    was_forced = obs._forced
+    obs.disable()
+    yield
+    obs._set_forced(was_forced)
+
+
+@pytest.fixture()
 def session(server):
     with NetSession(server.host, server.port) as s:
         yield s
@@ -45,7 +56,7 @@ class TestNegotiation:
         assert ftype == F_RESPONSE
         assert "trace" not in payload
 
-    def test_traced_dispatch_attaches_closed_span(self, server):
+    def test_traced_dispatch_attaches_closed_span(self, server, untraced):
         frames = server._dispatch(
             2, "ping", {}, {"trace": "T-test", "span": 11})
         (ftype, payload), = frames
@@ -100,7 +111,7 @@ class TestStitchedTraces:
         names = {span_.name for span_ in _walk(root)}
         assert "net.request" in names and "service.query" in names
 
-    def test_untraced_client_records_nothing(self, session):
+    def test_untraced_client_records_nothing(self, session, untraced):
         session.addblock("q(x) -> int(x).", name="b2")
         before = len(obs.last_roots())
         session.exec("+q(1).")

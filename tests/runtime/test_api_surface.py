@@ -353,5 +353,8 @@ class TestKeywordOnlyConstructors:
     def test_service_config_rejects_unknown_mode(self):
         from repro.service import ServiceConfig
 
-        with pytest.raises(ValueError):
-            ServiceConfig(mode="hope")
+        # the occ baseline and the group_commit switch are gone: the
+        # service always repairs and always commits in groups
+        for removed in ({"mode": "occ"}, {"group_commit": False}):
+            with pytest.raises(TypeError):
+                ServiceConfig(**removed)

@@ -110,6 +110,27 @@ class TestSplitDelta:
         parts = smap.split_delta("order", Delta.from_iters([("alpha", 1)]))
         assert len(parts) == 1
 
+    def test_owned_and_foreign_partitions_a_shards_writes(self):
+        keys = ["k-{}".format(i) for i in range(20)]
+        smap = ShardMap(3, {"order": 0})
+        effects = {
+            "order": Delta.from_iters(
+                [(k, "add") for k in keys], [(k, "gone") for k in keys[:4]]),
+            "rate": Delta.from_iters([("std", 3)]),
+            "empty": Delta(),
+        }
+        own, foreign = smap.owned_and_foreign(1, effects)
+        assert own["rate"] is effects["rate"] and "empty" not in own
+        assert "rate" not in foreign
+        for row in own["order"].added | own["order"].removed:
+            assert smap.shard_of("order", row) == 1
+        for row in foreign["order"].added | foreign["order"].removed:
+            assert smap.shard_of("order", row) != 1
+        assert sorted(own["order"].added | foreign["order"].added) == sorted(
+            effects["order"].added)
+        assert sorted(own["order"].removed | foreign["order"].removed) == (
+            sorted(effects["order"].removed))
+
 
 class TestManifest:
     def test_round_trip(self):
